@@ -8,14 +8,14 @@ from .graphs import (DistanceData, Graph, build_graph, circulant,
                      complete_graph, cycle_graph, distance_class_matrix,
                      distances, path_graph, petersen_graph, prism_y6,
                      star_graph)
-from .partitions import (LocalPartition, PairPartition,
+from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
                          adjacency_power_ladder, check_regular,
                          global_partition, is_distance_faithful,
                          local_partition, walk_vectors)
-from .quotient import (QuotientReport, WalkCountMatrices, algebra_dimension,
-                       algebra_membership, decide_quotient_polynomial,
-                       intersection_matrix, local_dimension,
-                       per_vertex_consistency, walk_count_matrices)
+from .quotient import (QuotientReport, WalkCountMatrices,
+                       decide_quotient_polynomial, intersection_matrix,
+                       local_dimension, per_vertex_consistency,
+                       walk_count_matrices)
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,

@@ -183,7 +183,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): per the SIGPIPE note in the
+        # Python signal docs, send the remaining output to devnull and exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except ContractViolationError as e:
         print(f"internal consistency error: {e}", file=sys.stderr)
         return 2

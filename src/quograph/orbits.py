@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SizeLimitError
-from .graphs import Graph, distances, require_connected
-from .partitions import adjacency_power_ladder
-from .quotient import algebra_membership
+from .graphs import Graph, distances
+from .partitions import WalkAlgebra
 
 DEFAULT_VERTEX_CAP = 10
 
@@ -91,10 +90,7 @@ def orbit_partition(auts: list[tuple[int, ...]], n: int) -> OrbitPartition:
     return OrbitPartition(n=n, orbits=tuple(orbits))
 
 
-def is_orbit_polynomial(g: Graph, op: OrbitPartition, ladder=None) -> bool:
+def is_orbit_polynomial(alg: WalkAlgebra, op: OrbitPartition) -> bool:
     """True iff every orbit matrix lies in the span of A^0..A^d over Q."""
-    require_connected(g)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
-    return all(
-        algebra_membership(ladder, op.orbit_matrix(i)) is not None
-        for i in range(len(op.orbits)))
+    return alg.membership(
+        [op.orbit_matrix(i) for i in range(len(op.orbits))]) is not None

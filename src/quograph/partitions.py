@@ -1,4 +1,4 @@
-"""Walk vectors and the walk-regular partition of V x V.
+"""Walk vectors, the walk-regular partition of V x V, and the walk algebra.
 
 Pairs (u,v) are grouped by their exact vector of walk counts
 (a_uv^(0), ..., a_uv^(d)); the classes J_0..J_r and their 0/1 matrices drive
@@ -8,9 +8,10 @@ down to machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .errors import ContractViolationError
-from .exact import RowBasis, mat_mul, identity
+from .exact import Polynomial, RowBasis, identity, mat_mul, solve
 from .graphs import DistanceData, Graph, require_connected
 
 
@@ -33,15 +34,11 @@ def adjacency_power_ladder(g: Graph) -> list[list[list[int]]]:
         cur = mat_mul(cur, a)
 
 
-def walk_vectors(g: Graph, ladder=None) -> dict[tuple[int, int], tuple[int, ...]]:
+def walk_vectors(g: Graph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Map (u,v) -> (a_uv^(0), ..., a_uv^(d)), exact."""
-    require_connected(g)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
-    out = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            out[(u, v)] = tuple(p[u][v] for p in ladder)
-    return out
+    ladder = WalkAlgebra.of(g).ladder
+    return {(u, v): tuple(p[u][v] for p in ladder)
+            for u in range(g.n) for v in range(g.n)}
 
 
 def _first_nonzero(vec) -> int:
@@ -86,13 +83,12 @@ class PairPartition:
         return frozenset(frozenset(c) for c in self.classes)
 
 
-def global_partition(g: Graph, ladder=None) -> PairPartition:
-    """Group all ordered pairs by exact walk-vector equality."""
-    require_connected(g)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
+def group_pairs(n: int, ladder) -> PairPartition:
+    """Group all ordered pairs by exact equality of their entries in the
+    given powers [I, A, A^2, ...]."""
     groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for u in range(g.n):
-        for v in range(g.n):
+    for u in range(n):
+        for v in range(n):
             vec = tuple(p[u][v] for p in ladder)
             groups.setdefault(vec, []).append((u, v))
     diag = sorted(v for v in groups if v[0] == 1)           # a^(0)=1 iff u=v
@@ -100,17 +96,99 @@ def global_partition(g: Graph, ladder=None) -> PairPartition:
                   key=lambda v: (_first_nonzero(v), tuple(-x for x in v)))
     order = diag + rest
     classes = tuple(tuple(groups[v]) for v in order)
-    index = [[0] * g.n for _ in range(g.n)]
+    index = [[0] * n for _ in range(n)]
     for i, v in enumerate(order):
         for u, w in groups[v]:
             index[u][w] = i
     return PairPartition(
-        n=g.n,
+        n=n,
         classes=classes,
         class_walk_vectors=tuple(order),
         class_index=tuple(tuple(row) for row in index),
         diagonal_classes=tuple(range(len(diag))),
     )
+
+
+@dataclass(frozen=True)
+class WalkAlgebra:
+    """The adjacency algebra A(Gamma) = span(I, A, ..., A^d) of a connected
+    graph, read on its r+1 walk classes; build it once with `of`.
+
+    Each A^l with l <= d is constant on every class by construction, so
+    p(A) = T holds exactly when T is constant on classes and M c = t, where
+    c are the coefficients of p, t the class values of T, and M the
+    (r+1) x (d+1) class walk matrix, M[k][l] = a^(l) on class k. M has rank
+    d+1, the rank of the vectorized ladder.
+    """
+
+    g: Graph
+    dd: DistanceData
+    ladder: tuple            # I, A, ..., A^d
+    partition: PairPartition
+    basis_rows: tuple[int, ...]  # d+1 classes whose rows of M are independent
+
+    @staticmethod
+    def of(g: Graph) -> WalkAlgebra:
+        dd = require_connected(g)
+        ladder = tuple(adjacency_power_ladder(g))
+        pp = group_pairs(g.n, ladder)
+        basis, rows = RowBasis(), []
+        for k, vec in enumerate(pp.class_walk_vectors):
+            if basis.add(vec):
+                rows.append(k)
+        if len(rows) != len(ladder):
+            raise ContractViolationError(
+                f"class walk matrix has rank {len(rows)}, expected d+1 = {len(ladder)}")
+        return WalkAlgebra(g, dd, ladder, pp, tuple(rows))
+
+    @property
+    def d(self) -> int:
+        return len(self.ladder) - 1
+
+    @property
+    def m(self) -> tuple[tuple[int, ...], ...]:
+        return self.partition.class_walk_vectors
+
+    def membership(self, targets) -> list[Polynomial] | None:
+        """The polynomials p with p(A) = T and deg p <= d, one per n x n
+        target T, or None when some target lies outside A(Gamma)."""
+        columns = []
+        for t in targets:
+            col = []
+            for cls in self.partition.classes:
+                vals = {t[u][v] for u, v in cls}
+                if len(vals) != 1:
+                    return None  # an orbit, say, can split a walk class
+                col.append(vals.pop())
+            columns.append(col)
+        return self.class_polynomials(columns)
+
+    def class_polynomials(self, columns) -> list[Polynomial] | None:
+        """The polynomials p_j with p_j(A) = columns[j][k] on every class k,
+        or None when some column lies outside the column space of M.
+
+        One exact solve on the d+1 basis rows, then every row of M checked.
+        """
+        rows = self.basis_rows
+        sol = solve([self.m[k] for k in rows],
+                    [[col[k] for col in columns] for k in rows])
+        polys = [Polynomial.of(c) for c in zip(*sol)]
+        if all(self.satisfies(p, col) for p, col in zip(polys, columns)):
+            return polys
+        return None
+
+    def satisfies(self, p: Polynomial, values) -> bool:
+        """p(A) equals values[k] on every class k: M c = values, checked in
+        integers on all r+1 rows."""
+        den = lcm(*(c.denominator for c in p.coeffs))
+        ints = [int(c * den) for c in p.coeffs]
+        return all(sum(x * y for x, y in zip(row, ints)) == den * v
+                   for row, v in zip(self.m, values))
+
+
+def global_partition(g: Graph) -> PairPartition:
+    """The walk-regular partition of a connected graph's ordered pairs."""
+    return WalkAlgebra.of(g).partition
 
 
 @dataclass(frozen=True)

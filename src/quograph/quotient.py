@@ -6,21 +6,14 @@ adjacency algebra and the recovered polynomials satisfy p_i(A) = J_i exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .errors import AnalysisError, ContractViolationError
-from .exact import (Polynomial, RowBasis, all_ones, combine_powers, identity,
-                    is_nonneg_int_matrix, mat_vec, rank, solve, to_int_matrix,
-                    transpose)
-from .graphs import DistanceData, Graph, require_connected
-from .partitions import (LocalPartition, PairPartition, adjacency_power_ladder,
-                         check_regular, global_partition, local_partition)
-
-
-def algebra_dimension(g: Graph) -> int:
-    """d+1: rank over Q of the vectorized powers I, A, A^2, ..."""
-    return len(adjacency_power_ladder(g))
+from .exact import (Polynomial, RowBasis, identity, is_nonneg_int_matrix,
+                    mat_mul, mat_vec, rank, solve, to_int_matrix, transpose)
+from .graphs import Graph
+from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
+                         check_regular, group_pairs, local_partition)
 
 
 def local_dimension(g: Graph, u: int) -> int:
@@ -47,7 +40,6 @@ def walk_count_matrices(g: Graph, u: int, lp: LocalPartition) -> WalkCountMatric
     a = g.adjacency_matrix()
     r = lp.r
     vec = [1 if v == u else 0 for v in range(g.n)]
-    w, w_plus = [], []
     rows = []
     for _ in range(r + 2):
         row = []
@@ -92,49 +84,11 @@ class QuotientReport:
     intersection_b: list | None = None          # B, rows sum to the degree
     walk_matrix: list | None = None             # W at vertex 0
     walk_matrix_plus: list | None = None        # W+ at vertex 0
-    flags: object | None = field(default=None)  # ClassificationFlags, set later
 
 
-def class_walk_matrix(pp: PairPartition, d: int) -> list:
-    """(r+1) x (d+1) matrix M[k][l] = common walk count of class k."""
-    return [list(vec[: d + 1]) for vec in pp.class_walk_vectors]
-
-
-def algebra_membership(ladder, target) -> Polynomial | None:
-    """The unique p with p(A) = target and deg <= d, or None if target is
-    outside the adjacency algebra.
-
-    Rows of the vectorized system are deduplicated first: every power is
-    constant on walk classes, so distinct rows number at most r+2.
-    """
-    n = len(target)
-    seen: dict[tuple, object] = {}
-    for u in range(n):
-        for v in range(n):
-            key = tuple(p[u][v] for p in ladder)
-            t = target[u][v]
-            prev = seen.get(key)
-            if prev is None:
-                seen[key] = t
-            elif prev != t:
-                return None  # target not constant where every power is
-    rows = [list(k) for k in seen]
-    rhs = [[seen[tuple(row)]] for row in rows]
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    return Polynomial.of([c[0] for c in sol])
-
-
-def decide_quotient_polynomial(g: Graph,
-                               dd: DistanceData | None = None,
-                               ladder=None,
-                               pp: PairPartition | None = None) -> QuotientReport:
+def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     """Compute d, r, the QP flag, and (when QP) polynomials, W, W+, B, H."""
-    dd = require_connected(g, dd)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
-    d = len(ladder) - 1
-    pp = pp if pp is not None else global_partition(g, ladder)
+    g, pp, d = alg.g, alg.partition, alg.d
     r = pp.r
     # d_u+1 equals the rank of the walk vectors of the classes meeting u
     # (A^l e_u is constant on local cells); local_dimension() is the
@@ -143,7 +97,7 @@ def decide_quotient_polynomial(g: Graph,
         rank([pp.class_walk_vectors[i] for i in local_partition(pp, u).class_ids])
         for u in range(g.n))
     rep = QuotientReport(
-        d=d, r=r, diameter=dd.diameter,
+        d=d, r=r, diameter=alg.dd.diameter,
         is_quotient_polynomial=(r == d),
         partition=pp,
         local_dimensions=local_dims,
@@ -151,21 +105,12 @@ def decide_quotient_polynomial(g: Graph,
     if not rep.is_quotient_polynomial:
         return rep
 
-    # recover p_i: solve M c = e_i over the class walk matrix (a basis change)
-    m = class_walk_matrix(pp, d)
-    coeffs = solve(m, identity(r + 1))
-    if coeffs is None:
-        raise ContractViolationError("class walk matrix singular although r = d")
-    polys = []
-    for i in range(r + 1):
-        p = Polynomial.of([coeffs[l][i] for l in range(d + 1)])
-        if to_rat(combine_powers(p.coeffs, ladder)) != to_rat(pp.class_matrix(i)):
-            raise ContractViolationError(f"p_{i}(A) != J_{i}; recovery is broken")
-        polys.append(p)
-    hoffman = Polynomial.of([0])
-    for p in polys:
-        hoffman = hoffman + p
-    if to_rat(combine_powers(hoffman.coeffs, ladder)) != to_rat(all_ones(g.n)):
+    # p_i(A) = J_i is M c_i = e_i on the classes: a basis change, verified
+    polys = alg.class_polynomials(identity(r + 1))
+    if polys is None:
+        raise ContractViolationError("some p_i(A) != J_i; recovery is broken")
+    hoffman = sum(polys, Polynomial.of([0]))
+    if not alg.satisfies(hoffman, [1] * (r + 1)):  # H(A) = J
         raise ContractViolationError("Hoffman polynomial does not satisfy H(A) = J")
 
     lp0 = local_partition(pp, 0)
@@ -183,15 +128,12 @@ def decide_quotient_polynomial(g: Graph,
     return rep
 
 
-def to_rat(m) -> list:
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def per_vertex_consistency(g: Graph, rep: QuotientReport) -> bool:
+def per_vertex_consistency(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     """Theorem check: every vertex induces the same polynomials and B."""
     if not rep.is_quotient_polynomial:
         raise AnalysisError("per-vertex consistency applies to QP graphs only")
-    ladder = adjacency_power_ladder(g)
+    g = alg.g
+    a = g.adjacency_matrix()
     # A^l e_u columns, reused for every polynomial
     for u in range(g.n):
         lp = local_partition(rep.partition, u)
@@ -199,7 +141,6 @@ def per_vertex_consistency(g: Graph, rep: QuotientReport) -> bool:
             return False  # some class misses u; QP forbids empty cells
         cols = []
         vec = [1 if v == u else 0 for v in range(g.n)]
-        a = g.adjacency_matrix()
         for _ in range(rep.d + 1):
             cols.append(vec)
             vec = mat_vec(a, vec)
@@ -207,24 +148,18 @@ def per_vertex_consistency(g: Graph, rep: QuotientReport) -> bool:
             chi = lp.characteristic_vector(i, g.n)
             got = [sum(c * col[v] for c, col in zip(p.coeffs, cols))
                    for v in range(g.n)]
-            if [Fraction(x) for x in got] != [Fraction(x) for x in chi]:
+            if got != chi:
                 return False
         if check_regular(g, lp) != rep.intersection_b:
             return False
     return True
 
 
-def extended_partition_stable(g: Graph, pp: PairPartition, ladder) -> bool:
+def extended_partition_stable(alg: WalkAlgebra) -> bool:
     """Debug witness: walk vectors extended to length 2d+1 refine nothing."""
-    from .exact import mat_mul
-    a = g.adjacency_matrix()
-    powers = list(ladder)
-    d = len(ladder) - 1
-    for _ in range(d):
+    a = alg.g.adjacency_matrix()
+    powers = list(alg.ladder)
+    for _ in range(alg.d):
         powers.append(mat_mul(powers[-1], a))
-    groups = {}
-    for u in range(g.n):
-        for v in range(g.n):
-            groups.setdefault(tuple(p[u][v] for p in powers), []).append((u, v))
-    return (frozenset(frozenset(c) for c in groups.values())
-            == pp.as_setpartition())
+    return (group_pairs(alg.g.n, powers).as_setpartition()
+            == alg.partition.as_setpartition())

@@ -12,12 +12,13 @@ import logging
 import time
 from dataclasses import dataclass, field
 
-from .errors import (ContractViolationError, SizeLimitError, ToleranceError)
+from .errors import (AnalysisError, ContractViolationError, SizeLimitError,
+                     ToleranceError)
 from .exact import Polynomial, frac_str, parse_frac, poly_to_text
-from .graphs import Graph, distances
+from .graphs import Graph
 from .orbits import (DEFAULT_VERTEX_CAP, automorphisms, is_orbit_polynomial,
                      orbit_partition)
-from .partitions import adjacency_power_ladder, global_partition
+from .partitions import WalkAlgebra
 from .quotient import (decide_quotient_polynomial, extended_partition_stable)
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
@@ -62,20 +63,19 @@ class Report:
 def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
     """partitions -> quotient analysis -> spectral cross-checks -> classifiers."""
     t0 = time.monotonic()
-    dd = distances(g)
-    report = Report(n=g.n, degree_sequence=g.degree_sequence(),
-                    diameter=dd.diameter)
-    if not dd.connected:
-        report.error = "graph is disconnected; analysis is undefined"
+    report = Report(n=g.n, degree_sequence=g.degree_sequence(), diameter=None)
+    try:
+        alg = WalkAlgebra.of(g)
+    except AnalysisError as e:  # disconnected
+        report.error = str(e)
         report.timing = time.monotonic() - t0
         return report
-
-    ladder = adjacency_power_ladder(g)
-    pp = global_partition(g, ladder)
-    rep = decide_quotient_polynomial(g, dd, ladder, pp)
+    dd, pp = alg.dd, alg.partition
+    report.diameter = dd.diameter
+    rep = decide_quotient_polynomial(alg)
     report.quotient = rep
 
-    sd = spectral_decomposition(g, expected_distinct=rep.d + 1, tol=options.tol)
+    sd = spectral_decomposition(alg, tol=options.tol)
     report.eigenvalues = [float(f"{x:.12g}") for x in sd.spectrum.eigenvalues]
     report.multiplicities = list(sd.spectrum.multiplicities)
     # Lemma: m-vector grouping must reproduce the exact walk partition
@@ -83,12 +83,12 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         raise ToleranceError(
             "spectrum partition disagrees with the exact walk partition")
 
-    dp = is_distance_polynomial(g, dd, ladder)
+    dp = is_distance_polynomial(alg)
     flags = ClassificationFlags(
         walk_regular=is_walk_regular(pp),
-        h_punctual=tuple(is_h_punctually_walk_regular(pp, g, h, dd)
+        h_punctual=tuple(is_h_punctually_walk_regular(alg, h)
                          for h in range(dd.diameter + 1)),
-        distance_regular=is_distance_regular(g, rep, dd, ladder),
+        distance_regular=is_distance_regular(alg, rep),
         distance_polynomial=dp is not None,
         quotient_polynomial=rep.is_quotient_polynomial,
         distance_polys=tuple(dp) if dp is not None else None,
@@ -97,14 +97,14 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
     if rep.is_quotient_polynomial:
         scheme = build_scheme(rep, pp)
         report.scheme = scheme
-        report.scheme_generates = generates_scheme_check(scheme, g)
+        report.scheme_generates = generates_scheme_check(scheme, alg)
         if options.debug_checks:
             if not scheme_via_solve(scheme):
                 raise ContractViolationError(
                     "solve-based intersection numbers disagree with read-off")
-            qp_implies_dp(rep, g, dd, ladder)  # raises on failure
+            qp_implies_dp(alg, rep)  # raises on failure
 
-    if options.debug_checks and not extended_partition_stable(g, pp, ladder):
+    if options.debug_checks and not extended_partition_stable(alg):
         raise ContractViolationError(
             "walk vectors extended to length 2d refine the partition")
 
@@ -112,7 +112,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         try:
             auts = automorphisms(g, cap=options.orbit_cap)
             op = orbit_partition(auts, g.n)
-            flags.orbit_polynomial = is_orbit_polynomial(g, op, ladder)
+            flags.orbit_polynomial = is_orbit_polynomial(alg, op)
             report.orbit = OrbitResult(
                 num_automorphisms=len(auts),
                 num_orbits=len(op.orbits),
@@ -121,7 +121,6 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         except SizeLimitError as e:
             log.warning("orbit pass skipped: %s", e)
 
-    rep.flags = flags
     report.flags = flags
     report.timing = time.monotonic() - t0
     return report
@@ -296,8 +295,6 @@ def report_from_dict(d: dict) -> Report:
                                   for p in f["distance_polynomials"])
                             if f["distance_polynomials"] is not None else None),
         )
-        if report.quotient is not None:
-            report.quotient.flags = report.flags
     if "scheme" in d:
         s = d["scheme"]
         mats = tuple(
@@ -322,13 +319,15 @@ def report_from_dict(d: dict) -> Report:
 def census(lines, options: AnalysisOptions = AnalysisOptions()):
     """Analyze a stream of graph6 lines; yields one record per parsed line.
 
-    Disconnected graphs are counted and skipped; malformed lines are logged
-    and processing continues. The trailing record carries the summary.
+    Disconnected graphs are counted and skipped; malformed lines and failed
+    analyses are logged and counted, and processing continues. A
+    ContractViolationError names its line and ends the run. The trailing
+    record carries the summary.
     """
     from .formats import parse_graph6
     records = []
     skipped_disconnected = 0
-    parse_errors = 0
+    parse_errors = analysis_errors = 0
     flag_counts: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -339,7 +338,15 @@ def census(lines, options: AnalysisOptions = AnalysisOptions()):
             parse_errors += 1
             log.error("line %d: %s", lineno, e)
             continue
-        report = analyze(g, options)
+        try:
+            report = analyze(g, options)
+        except (AnalysisError, ToleranceError) as e:
+            analysis_errors += 1
+            log.error("line %d (%s): %s", lineno, line.strip(), e)
+            continue
+        except ContractViolationError as e:
+            raise ContractViolationError(
+                f"line {lineno} ({line.strip()}): {e}") from e
         if report.error is not None:
             skipped_disconnected += 1
             continue
@@ -366,6 +373,7 @@ def census(lines, options: AnalysisOptions = AnalysisOptions()):
         "graphs": len(records),
         "skipped_disconnected": skipped_disconnected,
         "parse_errors": parse_errors,
+        "analysis_errors": analysis_errors,
         "flag_counts": flag_counts,
     }
     return records, summary

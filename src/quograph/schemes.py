@@ -11,10 +11,9 @@ from dataclasses import dataclass
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
 from .exact import (Polynomial, RowBasis, all_ones, combine_powers, mat_mul)
-from .graphs import (DistanceData, Graph, distance_class_matrix, distances,
-                     require_connected)
-from .partitions import PairPartition, adjacency_power_ladder
-from .quotient import QuotientReport, algebra_membership, to_rat
+from .graphs import distance_class_matrix
+from .partitions import PairPartition, WalkAlgebra
+from .quotient import QuotientReport
 
 
 @dataclass
@@ -33,34 +32,30 @@ def is_walk_regular(pp: PairPartition) -> bool:
     return pp.diagonal_is_identity
 
 
-def is_h_punctually_walk_regular(pp: PairPartition, g: Graph, h: int,
-                                 dd: DistanceData | None = None) -> bool:
-    """Some single class matrix equals the distance-h matrix A_h."""
-    dd = dd if dd is not None else distances(g)
-    if dd.diameter is None or not (0 <= h <= dd.diameter):
-        raise GraphInputError(f"distance {h} outside 0..{dd.diameter}")
-    count_h = sum(1 for u in range(g.n) for v in range(g.n) if dd.dist[u][v] == h)
-    for i in range(len(pp.classes)):
-        if pp.class_distance(i) == h and len(pp.classes[i]) == count_h:
-            return True
-    return False
+def is_h_punctually_walk_regular(alg: WalkAlgebra, h: int) -> bool:
+    """Some single class matrix equals the distance-h matrix A_h: walk
+    vectors fix the distance, so exactly one class lies at distance h."""
+    pp, diameter = alg.partition, alg.dd.diameter
+    if not (0 <= h <= diameter):
+        raise GraphInputError(f"distance {h} outside 0..{diameter}")
+    return [pp.class_distance(i) for i in range(pp.r + 1)].count(h) == 1
 
 
-def is_distance_regular(g: Graph, rep: QuotientReport,
-                        dd: DistanceData | None = None,
-                        ladder=None) -> bool:
+def _distance_matrices(alg: WalkAlgebra) -> list:
+    return [distance_class_matrix(alg.g, i, alg.dd)
+            for i in range(alg.dd.diameter + 1)]
+
+
+def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     """QP with D = r; independently re-derived via Delsarte's criterion
     (A_i = p_i(A) with deg p_i = i for all i, which forces D = d)."""
-    dd = require_connected(g, dd)
-    primary = rep.is_quotient_polynomial and dd.diameter == rep.r
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
-    delsarte = dd.diameter == rep.d
-    if delsarte:
-        for i in range(dd.diameter + 1):
-            p = algebra_membership(ladder, distance_class_matrix(g, i, dd))
-            if p is None or p.degree != i:
-                delsarte = False
-                break
+    diameter = alg.dd.diameter
+    primary = rep.is_quotient_polynomial and diameter == rep.r
+    delsarte = False
+    if diameter == rep.d:
+        polys = alg.membership(_distance_matrices(alg))
+        delsarte = polys is not None and all(
+            p.degree == i for i, p in enumerate(polys))
     if primary != delsarte:
         raise ContractViolationError(
             f"distance-regularity criteria disagree: D=r gives {primary}, "
@@ -68,40 +63,25 @@ def is_distance_regular(g: Graph, rep: QuotientReport,
     return primary
 
 
-def is_distance_polynomial(g: Graph,
-                           dd: DistanceData | None = None,
-                           ladder=None):
+def is_distance_polynomial(alg: WalkAlgebra) -> list[Polynomial] | None:
     """The D+1 distance polynomials, or None when some A_i is outside A(Gamma)."""
-    dd = require_connected(g, dd)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
-    polys = []
-    for i in range(dd.diameter + 1):
-        p = algebra_membership(ladder, distance_class_matrix(g, i, dd))
-        if p is None:
-            return None
-        polys.append(p)
-    return polys
+    return alg.membership(_distance_matrices(alg))
 
 
-def qp_implies_dp(rep: QuotientReport, g: Graph,
-                  dd: DistanceData | None = None,
-                  ladder=None) -> list[Polynomial]:
+def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
     """Distance polynomials of a QP graph as sums of quotient polynomials
     over the classes meeting each distance; verified exactly."""
     if not rep.is_quotient_polynomial:
         raise AnalysisError("qp_implies_dp needs a quotient-polynomial graph")
-    dd = require_connected(g, dd)
-    ladder = ladder if ladder is not None else adjacency_power_ladder(g)
     pp = rep.partition
     out = []
-    for i in range(dd.diameter + 1):
+    for i, target in enumerate(_distance_matrices(alg)):
         p = Polynomial.of([0])
         for j in range(pp.r + 1):
             # tr(A_i J_j) != 0 iff class j sits at distance i
             if pp.class_distance(j) == i:
                 p = p + rep.polynomials[j]
-        if to_rat(combine_powers(p.coeffs, ladder)) != to_rat(
-                distance_class_matrix(g, i, dd)):
+        if combine_powers(p.coeffs, alg.ladder) != target:
             raise ContractViolationError(
                 f"summed quotient polynomials fail p_{i}(A) = A_{i}")
         out.append(p)
@@ -181,25 +161,17 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
     return True
 
 
-def generates_scheme_check(scheme: AssociationScheme, g: Graph) -> bool:
+def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     """True iff vec(A^0..A^d) spans the same rational row space as the
-    vectorized scheme classes (d = number of scheme classes)."""
-    d = scheme.num_classes
-    a = g.adjacency_matrix()
-    power_vecs = []
-    cur = [[1 if i == j else 0 for j in range(g.n)] for i in range(g.n)]
-    for _ in range(d + 1):
-        power_vecs.append([x for row in cur for x in row])
-        cur = mat_mul(cur, a)
-    class_vecs = [[x for row in m for x in row] for m in scheme.classes]
-    powers = RowBasis()
+    vectorized scheme classes. The d+1 powers are independent (the ladder
+    stops at the first dependent one)."""
     scheme_basis = RowBasis()
     combined = RowBasis()
-    for vec in power_vecs:
-        powers.add(vec)
-        combined.add(vec)
-    for vec in class_vecs:
+    for p in alg.ladder:
+        combined.add([x for row in p for x in row])
+    for m in scheme.classes:
+        vec = [x for row in m for x in row]
         scheme_basis.add(vec)
         combined.add(vec)
     # equal spans iff neither side adds anything to the other
-    return powers.rank == scheme_basis.rank == combined.rank
+    return alg.d + 1 == scheme_basis.rank == combined.rank

@@ -12,9 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ContractViolationError, ToleranceError
-from .exact import Polynomial, combine_powers, eval_poly, trace
+from .exact import Polynomial, combine_powers, eval_poly, mat_mul, trace
 from .graphs import Graph
-from .quotient import algebra_dimension
+from .partitions import WalkAlgebra
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,14 @@ class MultiplicityVector:
     values: tuple[float, ...]
 
 
-def spectral_decomposition(g: Graph,
-                           expected_distinct: int | None = None,
+def spectral_decomposition(alg: WalkAlgebra,
                            tol: Tolerances = Tolerances()) -> SpectralDecomposition:
     """Distinct eigenvalues, multiplicities, and minimal idempotents E_j.
 
     Idempotents are assembled as V_j V_j^T from orthonormal eigenvector
     blocks, which stays stable at clustered eigenvalues.
     """
-    if expected_distinct is None:
-        expected_distinct = algebra_dimension(g)
-    a = np.array(g.adjacency_matrix(), dtype=float)
+    a = np.array(alg.g.adjacency_matrix(), dtype=float)
     vals, vecs = np.linalg.eigh(a)  # ascending
     lam0 = float(vals[-1])
     thr = tol.eig_gap_rel * max(1.0, abs(lam0))
@@ -68,11 +65,11 @@ def spectral_decomposition(g: Graph,
             groups.append([i])
         else:
             groups[-1].append(i)
-    if len(groups) != expected_distinct:
+    if len(groups) != alg.d + 1:
         gaps = np.diff(vals)
         raise ToleranceError(
             f"numeric grouping found {len(groups)} distinct eigenvalues, exact "
-            f"count is {expected_distinct}; sorted gaps: {np.sort(gaps)[:5]}")
+            f"count is {alg.d + 1}; sorted gaps: {np.sort(gaps)[:5]}")
     groups.reverse()  # descending order
     eigs, mults, idems = [], [], []
     for idx in groups:
@@ -139,7 +136,7 @@ def graph_scalar_product(g: Graph, sp: Spectrum,
     return val
 
 
-def b_via_trace(g: Graph, polys, i: int, j: int) -> float:
+def b_via_trace(alg: WalkAlgebra, polys, i: int, j: int) -> float:
     """tr(A V_i V_j) / tr(V_j^2) with V_k = p_k(A); equals (B^T)_{ij}.
 
     When the edges form a single walk class A is exactly V_1 and this is the
@@ -147,12 +144,9 @@ def b_via_trace(g: Graph, polys, i: int, j: int) -> float:
     B = W^-1 W+ valid when the adjacency matrix splits into several classes.
     Computed with exact matrix traces, then converted to float.
     """
-    from .partitions import adjacency_power_ladder
-    from .exact import mat_mul
-    ladder = adjacency_power_ladder(g)
-    a = g.adjacency_matrix()
-    vi = combine_powers(polys[i].coeffs, ladder)
-    vj = combine_powers(polys[j].coeffs, ladder)
+    a = alg.g.adjacency_matrix()
+    vi = combine_powers(polys[i].coeffs, alg.ladder)
+    vj = combine_powers(polys[j].coeffs, alg.ladder)
     denom = trace(mat_mul(vj, vj))
     if denom == 0:
         raise ContractViolationError(

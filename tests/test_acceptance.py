@@ -7,14 +7,13 @@ vertices); criterion 7 runs the orbit machinery on the n <= 10 subset.
 import time
 from fractions import Fraction
 
-from quograph import (analyze, automorphisms, decide_quotient_polynomial,
-                      distances, eval_poly, graph_scalar_product,
-                      is_distance_faithful, is_orbit_polynomial,
-                      local_partition, orbit_partition, parse_edge_list,
-                      parse_graph_spec, b_via_trace, petersen_graph,
-                      spectral_decomposition)
+from quograph import (WalkAlgebra, analyze, automorphisms,
+                      decide_quotient_polynomial, distances, eval_poly,
+                      graph_scalar_product, is_distance_faithful,
+                      is_orbit_polynomial, local_partition, orbit_partition,
+                      parse_edge_list, parse_graph_spec, b_via_trace,
+                      petersen_graph, spectral_decomposition)
 from quograph.exact import transpose
-from quograph.partitions import adjacency_power_ladder
 
 from test_schemes import brute_intersection_numbers
 from worked_examples import (CIRC17_B, CIRC17_BT, CIRC17_EIGS, CIRC17_POLYS,
@@ -72,7 +71,7 @@ def test_acceptance_2_prism_counterexample():
 
 def test_acceptance_3_spectrum_numeric():
     g = parse_graph_spec("circulant:17:1,4")
-    sd = spectral_decomposition(g)
+    sd = spectral_decomposition(WalkAlgebra.of(g))
     assert sd.spectrum.multiplicities == (1, 4, 4, 4, 4)
     for got, want in zip(sd.spectrum.eigenvalues, CIRC17_EIGS):
         assert abs(got - want) < 1e-3
@@ -116,7 +115,8 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
         assert total == rep.hoffman                         # sum p_i = H
         ha = eval_poly(rep.hoffman, g.adjacency_matrix())
         assert ha == [[Fraction(1)] * g.n for _ in range(g.n)]  # H(A) = J
-        sd = spectral_decomposition(g, expected_distinct=rep.d + 1)
+        alg = WalkAlgebra.of(g)
+        sd = spectral_decomposition(alg)
         for i in range(rep.r + 1):
             for j in range(i + 1, rep.r + 1):
                 val = graph_scalar_product(g, sd.spectrum,
@@ -124,13 +124,13 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
                                            rep.polynomials[j])
                 assert abs(val) < 1e-9
         from quograph import per_vertex_consistency, qp_implies_dp
-        assert per_vertex_consistency(g, rep)
+        assert per_vertex_consistency(alg, rep)
         assert rpt.scheme is not None                       # axioms verified
-        qp_implies_dp(rep, g)                               # raises on failure
+        qp_implies_dp(alg, rep)                             # raises on failure
         bt = transpose(rep.intersection_b)
         for i in range(rep.r + 1):
             for j in range(rep.r + 1):
-                assert abs(b_via_trace(g, rep.polynomials, i, j)
+                assert abs(b_via_trace(alg, rep.polynomials, i, j)
                            - bt[i][j]) < 1e-9
     elapsed = fixture_elapsed + (time.monotonic() - t0)
     assert elapsed < 300, f"criterion 5 took {elapsed:.1f}s"
@@ -163,8 +163,7 @@ def test_acceptance_7_orbit_inclusion(small_corpus, corpus_reports):
         for orb in op.orbits:
             ids = {pp.class_index[u][v] for u, v in orb}
             assert len(ids) == 1, "orbit crosses walk classes"
-        ladder = adjacency_power_ladder(g)
-        if is_orbit_polynomial(g, op, ladder):
+        if is_orbit_polynomial(WalkAlgebra.of(g), op):
             orbit_poly_count += 1
             assert rpt.flags.quotient_polynomial, \
                 "orbit-polynomial graph is not quotient-polynomial"
@@ -178,7 +177,8 @@ def test_acceptance_7_orbit_inclusion(small_corpus, corpus_reports):
 def test_acceptance_8_no_other_numbers():
     """Every concrete number in scope lives in the two worked examples;
     re-assert both end to end from a fresh analysis."""
-    rep = decide_quotient_polynomial(parse_graph_spec("circulant:17:1,4"))
+    rep = decide_quotient_polynomial(
+        WalkAlgebra.of(parse_graph_spec("circulant:17:1,4")))
     assert rep.walk_matrix == CIRC17_W
     assert rep.intersection_b == CIRC17_B
     assert [list(p.coeffs) for p in rep.polynomials] == CIRC17_POLYS

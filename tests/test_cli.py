@@ -1,9 +1,16 @@
 """CLI subcommands, exit codes, and deterministic JSON output."""
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import quograph
 from quograph.cli import main
+from quograph.errors import ContractViolationError
 
 
 def run(capsys, *argv):
@@ -93,6 +100,47 @@ def test_census_counts_disconnected(capsys, tmp_path):
     d = json.loads(out)
     assert d["summary"]["skipped_disconnected"] == 1
     assert d["summary"]["graphs"] == 1
+
+
+def test_census_survives_analysis_error(capsys, monkeypatch, caplog):
+    # at --tol 0.9 the numeric grouping of EhEG disagrees with the exact
+    # eigenvalue count; the lines around it must still be reported
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\nEhEG\nBw\n"))
+    code, out, _ = run(capsys, "census", "-", "--tol", "0.9",
+                       "--format", "json")
+    assert code == 0
+    d = json.loads(out)
+    assert [rec["line"] for rec in d["records"]] == [1, 3]
+    assert d["summary"]["analysis_errors"] == 1
+    assert "line 2 (EhEG)" in caplog.text
+
+
+def test_census_contract_violation_names_line(capsys, monkeypatch, tmp_path):
+    def broken(alg):
+        raise ContractViolationError("boom")
+    monkeypatch.setattr("quograph.report.decide_quotient_polynomial", broken)
+    p = tmp_path / "batch.g6"
+    p.write_text("A_\nBw\n")
+    code, _, err = run(capsys, "census", str(p))
+    assert code == 2
+    assert "line 1 (A_): boom" in err
+
+
+def test_closed_pipe_exits_quietly():
+    """`quograph analyze ... | head -1` ends without a traceback."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(quograph.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "quograph.cli", "analyze", "name:cycle:30",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"{\n"  # the report is far larger than a pipe
+    proc.stdout.close()
+    proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.returncode == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_orbits_flag(capsys):

@@ -126,7 +126,8 @@ def test_rank_invariant_under_row_permutation_and_scaling(m, rng):
     r0 = rank(m)
     rows = list(m)
     rng.shuffle(rows)
-    scaled = [[rng.choice([1, 2, 3, -1, 5]) * x for x in row] for row in rows]
+    factors = [rng.choice([1, 2, 3, -1, 5]) for _ in rows]
+    scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
     assert rank(scaled) == r0
     assert rank(transpose(m)) == r0
 

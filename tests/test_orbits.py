@@ -1,7 +1,7 @@
 """Automorphism groups, vertex-pair orbits, and the orbit-polynomial test."""
 import pytest
 
-from quograph import (automorphisms, complete_graph, cycle_graph,
+from quograph import (WalkAlgebra, automorphisms, complete_graph, cycle_graph,
                       global_partition, is_orbit_polynomial, orbit_partition,
                       path_graph, petersen_graph)
 from quograph.errors import SizeLimitError
@@ -60,9 +60,7 @@ def test_orbits_refine_walk_classes():
 
 
 def test_is_orbit_polynomial():
-    assert is_orbit_polynomial(cycle_graph(5),
-                               orbit_partition(automorphisms(cycle_graph(5)), 5))
-    assert is_orbit_polynomial(complete_graph(4),
-                               orbit_partition(automorphisms(complete_graph(4)), 4))
-    g = path_graph(3)
-    assert not is_orbit_polynomial(g, orbit_partition(automorphisms(g), 3))
+    for g, want in [(cycle_graph(5), True), (complete_graph(4), True),
+                    (path_graph(3), False)]:
+        op = orbit_partition(automorphisms(g), g.n)
+        assert is_orbit_polynomial(WalkAlgebra.of(g), op) is want

@@ -1,10 +1,10 @@
 """Walk vectors, the global pair partition, and local partitions."""
 import numpy as np
 
-from quograph import (adjacency_power_ladder, build_graph, check_regular,
-                      circulant, complete_graph, cycle_graph, distances,
-                      global_partition, is_distance_faithful, local_partition,
-                      path_graph, prism_y6, walk_vectors)
+from quograph import (WalkAlgebra, adjacency_power_ladder, build_graph,
+                      check_regular, circulant, complete_graph, cycle_graph,
+                      distances, global_partition, is_distance_faithful,
+                      local_partition, path_graph, prism_y6, walk_vectors)
 from quograph.partitions import LocalPartition
 
 from worked_examples import CIRC17_B, CIRC17_CELLS
@@ -136,5 +136,5 @@ def test_quotient_matrix_eigenvalues_inside_spectrum(circ17):
 def test_r_at_least_d_small_family():
     for g in [complete_graph(5), cycle_graph(7), path_graph(5),
               build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])]:
-        ladder = adjacency_power_ladder(g)
-        assert global_partition(g, ladder).r >= len(ladder) - 1
+        alg = WalkAlgebra.of(g)
+        assert alg.partition.r >= alg.d

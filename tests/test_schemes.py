@@ -1,12 +1,12 @@
 """Classifiers and the generated association scheme."""
 import pytest
 
-from quograph import (build_graph, build_scheme, complete_graph, cycle_graph,
-                      decide_quotient_polynomial, distances, global_partition,
-                      is_distance_polynomial, is_distance_regular,
-                      is_h_punctually_walk_regular, is_walk_regular,
-                      path_graph, petersen_graph, prism_y6, qp_implies_dp,
-                      star_graph)
+from quograph import (WalkAlgebra, build_graph, build_scheme, complete_graph,
+                      cycle_graph, decide_quotient_polynomial, distances,
+                      global_partition, is_distance_polynomial,
+                      is_distance_regular, is_h_punctually_walk_regular,
+                      is_walk_regular, path_graph, petersen_graph, prism_y6,
+                      qp_implies_dp, star_graph)
 from quograph.errors import AnalysisError
 from quograph.schemes import AssociationScheme, generates_scheme_check, scheme_via_solve
 
@@ -46,36 +46,36 @@ def test_walk_regular_flags():
 
 
 def test_h_punctual_circulant(circ17):
-    pp = global_partition(circ17)
-    dd = distances(circ17)
-    flags = [is_h_punctually_walk_regular(pp, circ17, h, dd) for h in range(4)]
+    alg = WalkAlgebra.of(circ17)
+    flags = [is_h_punctually_walk_regular(alg, h) for h in range(4)]
     assert flags == [True, True, False, True]  # distance 2 splits in two classes
 
 
 def test_distance_regular():
     for g in [cycle_graph(5), petersen_graph(), complete_graph(4)]:
-        rep = decide_quotient_polynomial(g)
-        assert is_distance_regular(g, rep)
+        alg = WalkAlgebra.of(g)
+        assert is_distance_regular(alg, decide_quotient_polynomial(alg))
     from quograph import circulant
-    g = circulant(17, {1, 4})
-    rep = decide_quotient_polynomial(g)
-    assert not is_distance_regular(g, rep)  # QP with D = 3 < r = 4
+    alg = WalkAlgebra.of(circulant(17, {1, 4}))
+    # QP with D = 3 < r = 4
+    assert not is_distance_regular(alg, decide_quotient_polynomial(alg))
 
 
 def test_distance_polynomial_y6(y6):
-    polys = is_distance_polynomial(y6)
+    polys = is_distance_polynomial(WalkAlgebra.of(y6))
     assert polys is not None
     for p, want in zip(polys, Y6_DIST_POLYS):
         assert list(p.coeffs) == want
 
 
 def test_distance_polynomial_star_fails():
-    assert is_distance_polynomial(star_graph(5)) is None
+    assert is_distance_polynomial(WalkAlgebra.of(star_graph(5))) is None
 
 
 def test_qp_implies_dp_circulant(circ17):
-    rep = decide_quotient_polynomial(circ17)
-    dps = qp_implies_dp(rep, circ17)
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    dps = qp_implies_dp(alg, rep)
     assert len(dps) == 4                      # D = 3
     assert dps[0] == rep.polynomials[0]
     assert dps[1] == rep.polynomials[1]
@@ -85,23 +85,25 @@ def test_qp_implies_dp_circulant(circ17):
 
 def test_qp_implies_dp_requires_qp(y6):
     with pytest.raises(AnalysisError):
-        qp_implies_dp(decide_quotient_polynomial(y6), y6)
+        alg = WalkAlgebra.of(y6)
+        qp_implies_dp(alg, decide_quotient_polynomial(alg))
 
 
 def test_build_scheme_complete_graph():
     n = 5
-    g = complete_graph(n)
-    rep = decide_quotient_polynomial(g)
+    alg = WalkAlgebra.of(complete_graph(n))
+    rep = decide_quotient_polynomial(alg)
     s = build_scheme(rep, rep.partition)
     assert s.num_classes == 1
     assert s.intersection_numbers[1][1][1] == n - 2
     assert s.intersection_numbers[0][1][1] == n - 1
-    assert generates_scheme_check(s, g)
+    assert generates_scheme_check(s, alg)
     assert scheme_via_solve(s)
 
 
 def test_build_scheme_petersen_matches_oracle(petersen):
-    rep = decide_quotient_polynomial(petersen)
+    alg = WalkAlgebra.of(petersen)
+    rep = decide_quotient_polynomial(alg)
     s = build_scheme(rep, rep.partition)
     assert s.num_classes == 2
     want = brute_intersection_numbers(petersen)
@@ -110,12 +112,12 @@ def test_build_scheme_petersen_matches_oracle(petersen):
             for j in range(3):
                 assert s.intersection_numbers[k][i][j] == want[k][i][j]
     assert s.intersection_numbers[1][1][1] == 0  # triangle-free
-    assert generates_scheme_check(s, petersen)
+    assert generates_scheme_check(s, alg)
     assert scheme_via_solve(s)
 
 
 def test_scheme_classes_match_distance_classes_on_drg(petersen):
-    rep = decide_quotient_polynomial(petersen)
+    rep = decide_quotient_polynomial(WalkAlgebra.of(petersen))
     s = build_scheme(rep, rep.partition)
     dd = distances(petersen)
     from quograph.graphs import distance_class_matrix
@@ -124,8 +126,10 @@ def test_scheme_classes_match_distance_classes_on_drg(petersen):
 
 
 def test_scheme_not_generated_by_distance_power():
-    """The distance-2 graph of C6 is 2K3; its distance scheme is a valid
-    2-class scheme, but A(2K3) generates only a 2-dimensional algebra."""
+    """The distance-2 graph of C6 is 2K3; I, A(2K3) and A(K33) form a valid
+    2-class scheme. K33 generates it, but K6 generates only the
+    2-dimensional algebra span(I, J). (2K3 is disconnected, so it has no
+    walk algebra of its own.)"""
     g = build_graph(6, [(i, (i + 2) % 6) for i in range(6)])
     n = 6
     a = g.adjacency_matrix()
@@ -145,8 +149,10 @@ def test_scheme_not_generated_by_distance_power():
     s = AssociationScheme(
         classes=mats,
         intersection_numbers=tuple(tuple(tuple(r) for r in pk) for pk in p))
-    assert not generates_scheme_check(s, g)
+    assert not generates_scheme_check(s, WalkAlgebra.of(complete_graph(n)))
+    k33 = build_graph(n, [(u, v) for u in range(n) for v in range(n) if rest[u][v]])
+    assert generates_scheme_check(s, WalkAlgebra.of(k33))
     # the same span test passes for a graph that does generate its scheme
-    pet = petersen_graph()
-    rep = decide_quotient_polynomial(pet)
-    assert generates_scheme_check(build_scheme(rep, rep.partition), pet)
+    alg = WalkAlgebra.of(petersen_graph())
+    rep = decide_quotient_polynomial(alg)
+    assert generates_scheme_check(build_scheme(rep, rep.partition), alg)

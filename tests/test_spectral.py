@@ -2,42 +2,49 @@
 import numpy as np
 import pytest
 
-from quograph import (Polynomial, ToleranceError, Tolerances, b_via_trace,
-                      complete_graph, crossed_multiplicities, cycle_graph,
-                      decide_quotient_polynomial, global_partition,
-                      graph_scalar_product, spectral_decomposition,
-                      spectrum_partition)
+from quograph import (Polynomial, ToleranceError, Tolerances, WalkAlgebra,
+                      b_via_trace, complete_graph, crossed_multiplicities,
+                      cycle_graph, decide_quotient_polynomial,
+                      global_partition, graph_scalar_product,
+                      spectral_decomposition, spectrum_partition)
 
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
 
 
+def spectrum(g):
+    return spectral_decomposition(WalkAlgebra.of(g))
+
+
 def test_spectrum_complete_graph():
-    sd = spectral_decomposition(complete_graph(4))
+    sd = spectrum(complete_graph(4))
     assert sd.spectrum.eigenvalues == pytest.approx((3.0, -1.0))
     assert sd.spectrum.multiplicities == (1, 3)
 
 
 def test_spectrum_circulant(circ17):
-    sd = spectral_decomposition(circ17)
+    sd = spectrum(circ17)
     assert sd.spectrum.multiplicities == (1, 4, 4, 4, 4)
     for got, want in zip(sd.spectrum.eigenvalues, CIRC17_EIGS):
         assert abs(got - want) < 1e-3
 
 
 def test_spectrum_y6(y6):
-    sd = spectral_decomposition(y6)
+    sd = spectrum(y6)
     got = list(zip(sd.spectrum.eigenvalues, sd.spectrum.multiplicities))
     for (lam, m), (wl, wm) in zip(got, Y6_SPECTRUM):
         assert abs(lam - wl) < 1e-9 and m == wm
 
 
 def test_expected_distinct_mismatch_raises(circ17):
+    # a gap threshold wider than the spectrum merges the five exact
+    # eigenvalues into one numeric group
     with pytest.raises(ToleranceError):
-        spectral_decomposition(circ17, expected_distinct=3)
+        spectral_decomposition(WalkAlgebra.of(circ17),
+                               tol=Tolerances.with_base(10.0))
 
 
 def test_idempotent_identities(petersen):
-    sd = spectral_decomposition(petersen)
+    sd = spectrum(petersen)
     n = petersen.n
     a = np.array(petersen.adjacency_matrix(), dtype=float)
     total = np.zeros((n, n))
@@ -57,7 +64,7 @@ def test_idempotent_identities(petersen):
 
 
 def test_crossed_multiplicities_diagonal(circ17):
-    sd = spectral_decomposition(circ17)
+    sd = spectrum(circ17)
     mv = crossed_multiplicities(sd, 0, 0)
     # on a vertex-transitive graph m_uu(lambda_j) = m_j / n
     for val, m in zip(mv.values, sd.spectrum.multiplicities):
@@ -70,13 +77,13 @@ def test_crossed_multiplicities_diagonal(circ17):
 
 def test_spectrum_partition_matches_walk_partition(circ17, y6, petersen):
     for g in [circ17, y6, petersen, cycle_graph(6)]:
-        sd = spectral_decomposition(g)
+        sd = spectrum(g)
         assert spectrum_partition(g, sd) == global_partition(g).as_setpartition()
 
 
 def test_spectrum_partition_huge_tol_collapses(petersen):
     # with an absurd tolerance every pair joins the first group
-    sd = spectral_decomposition(petersen)
+    sd = spectrum(petersen)
     assert len(spectrum_partition(petersen, sd, tol=10.0)) == 1
 
 
@@ -85,7 +92,7 @@ def test_spectrum_partition_ambiguous_tol_raises():
     # Chebyshev metric; a tolerance straddling those gaps must refuse to guess
     from quograph import path_graph
     g = path_graph(4)
-    sd = spectral_decomposition(g)
+    sd = spectrum(g)
     mats = np.stack(sd.idempotents, axis=-1).reshape(16, -1)
     reps = np.unique(np.round(mats, 9), axis=0)
     gaps = sorted({float(np.max(np.abs(a - b)))
@@ -96,7 +103,7 @@ def test_spectrum_partition_ambiguous_tol_raises():
 
 
 def test_scalar_product(circ17):
-    sd = spectral_decomposition(circ17)
+    sd = spectrum(circ17)
     one = Polynomial.of([1])
     x = Polynomial.of([0, 1])
     assert graph_scalar_product(circ17, sd.spectrum, one, one) == pytest.approx(1.0)
@@ -105,8 +112,9 @@ def test_scalar_product(circ17):
 
 
 def test_quotient_polynomials_are_orthogonal(circ17):
-    rep = decide_quotient_polynomial(circ17)
-    sd = spectral_decomposition(circ17)
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    sd = spectral_decomposition(alg)
     for i in range(5):
         for j in range(5):
             val = graph_scalar_product(circ17, sd.spectrum,
@@ -118,17 +126,19 @@ def test_quotient_polynomials_are_orthogonal(circ17):
 
 
 def test_b_via_trace_known_entries(circ17):
-    rep = decide_quotient_polynomial(circ17)
-    assert b_via_trace(circ17, rep.polynomials, 1, 0) == pytest.approx(4.0)
-    assert b_via_trace(circ17, rep.polynomials, 4, 4) == pytest.approx(2.0)
-    assert b_via_trace(circ17, rep.polynomials, 2, 0) == pytest.approx(0.0)
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    assert b_via_trace(alg, rep.polynomials, 1, 0) == pytest.approx(4.0)
+    assert b_via_trace(alg, rep.polynomials, 4, 4) == pytest.approx(2.0)
+    assert b_via_trace(alg, rep.polynomials, 2, 0) == pytest.approx(0.0)
 
 
 def test_b_via_trace_recovers_bt(circ17):
-    rep = decide_quotient_polynomial(circ17)
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
     for i in range(5):
         for j in range(5):
-            got = b_via_trace(circ17, rep.polynomials, i, j)
+            got = b_via_trace(alg, rep.polynomials, i, j)
             assert abs(got - CIRC17_BT[i][j]) < 1e-9
 
 
