@@ -56,6 +56,10 @@ def automorphisms(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> list[tuple[int, ..
         image[u] = -1
 
     extend(0)
+    # extend refers to itself through its closure cell; breaking that cycle
+    # frees perms with the caller's last reference instead of at the next
+    # full garbage collection
+    del extend
     return perms
 
 

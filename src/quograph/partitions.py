@@ -8,11 +8,12 @@ down to machine words.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .errors import ContractViolationError
 from .exact import Polynomial, RowBasis, identity, mat_mul, solve
-from .graphs import DistanceData, Graph, require_connected
+from .graphs import DistanceData, Graph, distance_class_matrix, require_connected
 
 
 def adjacency_power_ladder(g: Graph) -> list[list[list[int]]]:
@@ -148,6 +149,15 @@ class WalkAlgebra:
     @property
     def m(self) -> tuple[tuple[int, ...], ...]:
         return self.partition.class_walk_vectors
+
+    @cached_property
+    def distance_polynomials(self) -> tuple[Polynomial, ...] | None:
+        """The D+1 polynomials p_i with p_i(A) = A_i, the distance-i matrix,
+        or None when some A_i lies outside A(Gamma); solved once per graph."""
+        polys = self.membership(
+            [distance_class_matrix(self.g, i, self.dd)
+             for i in range(self.dd.diameter + 1)])
+        return None if polys is None else tuple(polys)
 
     def membership(self, targets) -> list[Polynomial] | None:
         """The polynomials p with p(A) = T and deg p <= d, one per n x n

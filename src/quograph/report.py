@@ -91,7 +91,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         distance_regular=is_distance_regular(alg, rep),
         distance_polynomial=dp is not None,
         quotient_polynomial=rep.is_quotient_polynomial,
-        distance_polys=tuple(dp) if dp is not None else None,
+        distance_polys=dp,
     )
 
     if rep.is_quotient_polynomial:

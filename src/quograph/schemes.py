@@ -2,15 +2,17 @@
 quotient-polynomial graph.
 
 Several classifiers carry a built-in second witness (Delsarte's criterion,
-entrywise vs solve-based structure constants); a disagreement is a contract
-violation, not a soft warning.
+pair-counted vs matrix-product structure constants); a disagreement is a
+contract violation, not a soft warning.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import AnalysisError, ContractViolationError, GraphInputError
-from .exact import (Polynomial, RowBasis, all_ones, combine_powers, mat_mul)
+from .exact import Polynomial, RowBasis, combine_powers
 from .graphs import distance_class_matrix
 from .partitions import PairPartition, WalkAlgebra
 from .quotient import QuotientReport
@@ -41,11 +43,6 @@ def is_h_punctually_walk_regular(alg: WalkAlgebra, h: int) -> bool:
     return [pp.class_distance(i) for i in range(pp.r + 1)].count(h) == 1
 
 
-def _distance_matrices(alg: WalkAlgebra) -> list:
-    return [distance_class_matrix(alg.g, i, alg.dd)
-            for i in range(alg.dd.diameter + 1)]
-
-
 def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     """QP with D = r; independently re-derived via Delsarte's criterion
     (A_i = p_i(A) with deg p_i = i for all i, which forces D = d)."""
@@ -53,7 +50,7 @@ def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     primary = rep.is_quotient_polynomial and diameter == rep.r
     delsarte = False
     if diameter == rep.d:
-        polys = alg.membership(_distance_matrices(alg))
+        polys = alg.distance_polynomials
         delsarte = polys is not None and all(
             p.degree == i for i, p in enumerate(polys))
     if primary != delsarte:
@@ -63,9 +60,9 @@ def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     return primary
 
 
-def is_distance_polynomial(alg: WalkAlgebra) -> list[Polynomial] | None:
+def is_distance_polynomial(alg: WalkAlgebra) -> tuple[Polynomial, ...] | None:
     """The D+1 distance polynomials, or None when some A_i is outside A(Gamma)."""
-    return alg.membership(_distance_matrices(alg))
+    return alg.distance_polynomials
 
 
 def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
@@ -75,13 +72,14 @@ def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
         raise AnalysisError("qp_implies_dp needs a quotient-polynomial graph")
     pp = rep.partition
     out = []
-    for i, target in enumerate(_distance_matrices(alg)):
+    for i in range(alg.dd.diameter + 1):
         p = Polynomial.of([0])
         for j in range(pp.r + 1):
             # tr(A_i J_j) != 0 iff class j sits at distance i
             if pp.class_distance(j) == i:
                 p = p + rep.polynomials[j]
-        if combine_powers(p.coeffs, alg.ladder) != target:
+        if (combine_powers(p.coeffs, alg.ladder)
+                != distance_class_matrix(alg.g, i, alg.dd)):
             raise ContractViolationError(
                 f"summed quotient polynomials fail p_{i}(A) = A_{i}")
         out.append(p)
@@ -102,62 +100,70 @@ class AssociationScheme:
 
 def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
     """The scheme generated by a QP graph: classes are the J_i matrices,
-    p^k_ij read off entrywise from the exact products J_i J_j."""
+    p^k_ij = |{w : (u,w) in J_i, (w,v) in J_j}| counted at every pair (u,v)
+    of class k, and required to be the same for all of them: the first row
+    that meets class k sets p^k, and every pair is compared with it.
+
+    One pass over u counts the class pairs (c(u,w), c(w,v)) for all v and w
+    with int64 `bincount`: O(n^3 + n^2 (d+1)^2) work whatever d is, and
+    O(n^2 + n (d+1)^2) memory per step. Counts are at most n, so they are
+    exact.
+    """
     if not rep.is_quotient_polynomial:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
     n = pp.n
-    d = pp.r
-    mats = [pp.class_matrix(i) for i in range(d + 1)]
-    if mats[0] != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
+    s = pp.r + 1
+    c = np.array(pp.class_index, dtype=np.int64)
+    if not np.array_equal(c == 0, np.eye(n, dtype=bool)):
         raise ContractViolationError("J_0 != I on a QP graph")
-    total = [[sum(m[u][v] for m in mats) for v in range(n)] for u in range(n)]
-    if total != all_ones(n):
+    # each pair lies in exactly one class 0..r iff the class matrices sum to J
+    sizes = [len(cls) for cls in pp.classes]
+    if (c.min() < 0 or c.max() >= s or sum(sizes) != n * n
+            or np.bincount(c.ravel(), minlength=s).tolist() != sizes):
         raise ContractViolationError("class matrices do not sum to J")
-    for m in mats:
-        if any(m[u][v] != m[v][u] for u in range(n) for v in range(u + 1, n)):
-            raise ContractViolationError("class matrix not symmetric")
-    p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    for i in range(d + 1):
-        for j in range(i, d + 1):
-            prod = mat_mul(mats[i], mats[j])
-            vals = [None] * (d + 1)
-            for u in range(n):
-                row = prod[u]
-                cls_row = pp.class_index[u]
-                for v in range(n):
-                    k = cls_row[v]
-                    if vals[k] is None:
-                        vals[k] = row[v]
-                    elif vals[k] != row[v]:
-                        raise ContractViolationError(
-                            f"J_{i} J_{j} is not constant on class {k}")
-            for k in range(d + 1):
-                p[k][i][j] = int(vals[k])
-                p[k][j][i] = int(vals[k])  # J_i J_j = J_j J_i in A(Gamma)
+    if not np.array_equal(c, c.T):
+        raise ContractViolationError("class matrix not symmetric")
+    # key[w, v] = v s^2 + c(u,w) s + c(w,v): a count table row per v
+    base = c + np.arange(n, dtype=np.int64) * (s * s)
+    p = np.full((s, s * s), -1, dtype=np.int64)  # -1: class not seen yet
+    for u in range(n):
+        counts = np.bincount((base + c[u][:, None] * s).ravel(),
+                             minlength=n * s * s).reshape(n, s * s)
+        row = c[u]
+        new = p[row, 0] < 0
+        p[row[new]] = counts[new]
+        bad = np.argwhere(p[row] != counts)
+        if len(bad):
+            v, ij = bad[0]
+            i, j = divmod(int(ij), s)
+            raise ContractViolationError(
+                f"J_{i} J_{j} is not constant on class {row[v]}")
     return AssociationScheme(
-        classes=tuple(mats),
+        classes=tuple((c == k).astype(np.int64).tolist() for k in range(s)),
         intersection_numbers=tuple(
-            tuple(tuple(row) for row in pk) for pk in p))
+            tuple(tuple(r) for r in pk)
+            for pk in p.reshape(s, s, s).tolist()))
 
 
 def scheme_via_solve(scheme: AssociationScheme) -> bool:
-    """Debug witness: re-derive p^k_ij by solving in the J-basis."""
-    from .exact import solve
-    mats = scheme.classes
-    n = len(mats[0])
-    d = scheme.num_classes
-    basis_rows = [[m[u][v] for m in mats] for u in range(n) for v in range(n)]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            prod = mat_mul(mats[i], mats[j])
-            rhs = [[prod[u][v]] for u in range(n) for v in range(n)]
-            sol = solve(basis_rows, rhs)
-            if sol is None:
-                return False
-            got = [sol[k][0] for k in range(d + 1)]
-            want = [scheme.intersection_numbers[k][i][j] for k in range(d + 1)]
-            if got != want:
-                return False
+    """Debug witness: the classes are the J-basis and every product J_i J_j
+    is sum_k p^k_ij J_k.
+
+    Solving J_i J_j = sum_k x_k J_k on the n^2 rows [J_0(u,v), ..., J_d(u,v)]
+    succeeds exactly when this holds: once the 0/1 classes sum to J every row
+    is a unit vector, so x_k is J_i J_j read at any pair of class k. The
+    products are dense int64 matrix products (entries are at most n), an
+    algorithm independent of the pair count in `build_scheme`.
+    """
+    mats = np.array(scheme.classes, dtype=np.int64)
+    if not (np.isin(mats, (0, 1)).all() and (mats.sum(axis=0) == 1).all()):
+        return False
+    cls = mats.argmax(axis=0)
+    p = np.array(scheme.intersection_numbers, dtype=np.int64)
+    for i in range(len(mats)):
+        want = np.moveaxis(p[:, i, :][cls], 2, 0)  # want[j] = p^{c(u,v)}_ij
+        if not np.array_equal(mats[i] @ mats, want):
+            return False
     return True
 
 

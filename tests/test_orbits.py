@@ -1,4 +1,6 @@
 """Automorphism groups, vertex-pair orbits, and the orbit-polynomial test."""
+import sys
+
 import pytest
 
 from quograph import (WalkAlgebra, automorphisms, complete_graph, cycle_graph,
@@ -19,6 +21,13 @@ def test_automorphisms_preserve_edges():
     for sigma in automorphisms(g)[:10]:
         for u, v in g.edges():
             assert g.has_edge(sigma[u], sigma[v])
+
+
+def test_automorphisms_result_has_no_other_referrer():
+    """The search must not keep its result alive in a reference cycle (K9
+    has 362,880 automorphisms), so it is freed with the caller's reference."""
+    auts = automorphisms(cycle_graph(5))
+    assert sys.getrefcount(auts) == 2    # auts and getrefcount's argument
 
 
 def test_size_cap():

@@ -1,13 +1,14 @@
 """Classifiers and the generated association scheme."""
 import pytest
 
-from quograph import (WalkAlgebra, build_graph, build_scheme, complete_graph,
-                      cycle_graph, decide_quotient_polynomial, distances,
+from quograph import (PairPartition, WalkAlgebra, analyze, build_graph,
+                      build_scheme, complete_graph, cycle_graph,
+                      decide_quotient_polynomial, distances,
                       global_partition, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,
                       is_walk_regular, path_graph, petersen_graph, prism_y6,
                       qp_implies_dp, star_graph)
-from quograph.errors import AnalysisError
+from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import AssociationScheme, generates_scheme_check, scheme_via_solve
 
 from worked_examples import Y6_DIST_POLYS
@@ -156,3 +157,56 @@ def test_scheme_not_generated_by_distance_power():
     alg = WalkAlgebra.of(petersen_graph())
     rep = decide_quotient_polynomial(alg)
     assert generates_scheme_check(build_scheme(rep, rep.partition), alg)
+
+
+def _pair_partition(index):
+    """A hand-built PairPartition with the given class of each pair."""
+    n, s = len(index), max(map(max, index)) + 1
+    classes = tuple(tuple((u, v) for u in range(n) for v in range(n)
+                          if index[u][v] == k) for k in range(s))
+    return PairPartition(n=n, classes=classes,
+                         class_walk_vectors=tuple((k,) for k in range(s)),
+                         class_index=tuple(map(tuple, index)),
+                         diagonal_classes=(0,))
+
+
+@pytest.mark.parametrize("index,message", [
+    # P4 by (diagonal, edge, non-edge): J_1 J_1 is 1 at (0,2), 0 at (0,3)
+    ([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]],
+     "J_1 J_1 is not constant on class 2"),
+    ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "not symmetric"),  # directed C3
+    ([[0, 0], [0, 1]], "J_0 != I"),
+])
+def test_build_scheme_rejects_partition(index, message):
+    rep = decide_quotient_polynomial(WalkAlgebra.of(cycle_graph(5)))
+    with pytest.raises(ContractViolationError, match=message):
+        build_scheme(rep, _pair_partition(index))
+
+
+def test_scheme_via_solve_rejects_wrong_scheme(petersen):
+    rep = decide_quotient_polynomial(WalkAlgebra.of(petersen))
+    s = build_scheme(rep, rep.partition)
+    p = [[list(row) for row in pk] for pk in s.intersection_numbers]
+    p[1][1][1] += 1
+    off_by_one = AssociationScheme(
+        classes=s.classes,
+        intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
+    assert not scheme_via_solve(off_by_one)
+    v = s.classes[1][0].index(1)                # (0, v) lies in class 1
+    overlap = [[row[:] for row in m] for m in s.classes]
+    overlap[2][0][v] = overlap[2][v][0] = 1
+    assert not scheme_via_solve(AssociationScheme(
+        classes=tuple(overlap), intersection_numbers=s.intersection_numbers))
+
+
+def test_distance_polynomials_solved_once(petersen, monkeypatch):
+    """With D = d the distance and Delsarte tests share one membership
+    solve."""
+    calls = []
+    membership = WalkAlgebra.membership
+    monkeypatch.setattr(WalkAlgebra, "membership",
+                        lambda alg, targets: calls.append(len(targets))
+                        or membership(alg, targets))
+    rpt = analyze(petersen)
+    assert rpt.flags.distance_regular and rpt.flags.distance_polynomial
+    assert calls == [3]
