@@ -3,7 +3,7 @@ association schemes generated by quotient-polynomial graphs."""
 
 from .errors import (AnalysisError, ContractViolationError, GraphInputError,
                      QuographError, SizeLimitError, ToleranceError)
-from .exact import Polynomial, eval_poly, frac_str, mat_mul, rank, solve
+from .exact import Polynomial, frac_str, mat_mul, rank, solve
 from .graphs import (DistanceData, Graph, build_graph, circulant,
                      complete_graph, cycle_graph, distance_class_matrix,
                      distances, path_graph, petersen_graph, prism_y6,
@@ -11,19 +11,16 @@ from .graphs import (DistanceData, Graph, build_graph, circulant,
 from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
                          adjacency_power_ladder, check_regular,
                          global_partition, is_distance_faithful,
-                         local_partition, walk_vectors)
+                         local_partition)
 from .quotient import (QuotientReport, WalkCountMatrices,
                        decide_quotient_polynomial, intersection_matrix,
-                       local_dimension, per_vertex_consistency,
-                       walk_count_matrices)
+                       per_vertex_consistency, walk_count_matrices)
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,
                       is_walk_regular, qp_implies_dp)
 from .spectral import (SpectralDecomposition, Spectrum, Tolerances,
-                       b_via_trace, crossed_multiplicities,
-                       graph_scalar_product, spectral_decomposition,
-                       spectrum_partition)
+                       spectral_decomposition, spectrum_partition)
 from .orbits import (OrbitPartition, automorphisms, is_orbit_polynomial,
                      orbit_partition)
 from .formats import (parse_circulant, parse_edge_list, parse_graph6,

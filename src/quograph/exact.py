@@ -215,23 +215,6 @@ class Polynomial:
         return acc
 
 
-POLY_ONE = Polynomial.of([1])
-POLY_X = Polynomial.of([0, 1])
-
-
-def eval_poly(p: Polynomial, a: IntMatrix) -> RatMatrix:
-    """p(A) by Horner's scheme on matrices; exact."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise GraphInputError("eval_poly needs a square matrix")
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for c in reversed(p.coeffs):
-        acc = mat_mul(acc, a)
-        for i in range(n):
-            acc[i][i] += c
-    return acc
-
-
 def combine_powers(coeffs, powers) -> RatMatrix:
     """Sum c_l * A^l given the precomputed power ladder; cheaper than Horner."""
     n = len(powers[0])

@@ -26,18 +26,15 @@ def parse_graph6(line: str) -> Graph:
         data.append(code - 63)
     if data[0] <= 62:
         n, idx = data[0], 1
-    elif len(data) >= 4 and data[1] <= 62:
-        if len(data) < 4:
-            raise GraphInputError("truncated graph6 size field at offset 1")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
-        idx = 4
     else:
-        if len(data) < 8:
-            raise GraphInputError("truncated graph6 size field at offset 2")
+        # 126 then 3 size bytes, or 126 126 then 6 size bytes
+        start, idx = (2, 8) if len(data) > 1 and data[1] > 62 else (1, 4)
+        if len(data) < idx:
+            raise GraphInputError(
+                f"truncated graph6 size field at offset {start}")
         n = 0
-        for b in data[2:8]:
+        for b in data[start:idx]:
             n = (n << 6) | b
-        idx = 8
     if n < 1:
         raise GraphInputError("graph6 line encodes an empty vertex set")
     need = (n * (n - 1) // 2 + 5) // 6

@@ -35,13 +35,6 @@ def adjacency_power_ladder(g: Graph) -> list[list[list[int]]]:
         cur = mat_mul(cur, a)
 
 
-def walk_vectors(g: Graph) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map (u,v) -> (a_uv^(0), ..., a_uv^(d)), exact."""
-    ladder = WalkAlgebra.of(g).ladder
-    return {(u, v): tuple(p[u][v] for p in ladder)
-            for u in range(g.n) for v in range(g.n)}
-
-
 def _first_nonzero(vec) -> int:
     for i, x in enumerate(vec):
         if x:
@@ -63,6 +56,18 @@ class PairPartition:
     class_index: tuple[tuple[int, ...], ...]  # (u,v) -> class id
     diagonal_classes: tuple[int, ...]
 
+    @staticmethod
+    def of(n: int, vectors, classes) -> PairPartition:
+        """The partition with these class walk vectors and pair classes; the
+        pair index and the diagonal classes (a^(0) = 1) are derived."""
+        index = [[0] * n for _ in range(n)]
+        for i, cls in enumerate(classes):
+            for u, v in cls:
+                index[u][v] = i
+        return PairPartition(n, tuple(classes), tuple(vectors),
+                             tuple(tuple(row) for row in index),
+                             tuple(i for i, v in enumerate(vectors) if v[0] == 1))
+
     @property
     def r(self) -> int:
         return len(self.classes) - 1
@@ -72,7 +77,7 @@ class PairPartition:
         return len(self.diagonal_classes) == 1 and len(self.classes[0]) == self.n
 
     def class_distance(self, i: int) -> int:
-        return _first_nonzero(self.class_walk_vectors[i]) if i not in self.diagonal_classes else 0
+        return _first_nonzero(self.class_walk_vectors[i])
 
     def class_matrix(self, i: int) -> list[list[int]]:
         m = [[0] * self.n for _ in range(self.n)]
@@ -96,18 +101,7 @@ def group_pairs(n: int, ladder) -> PairPartition:
     rest = sorted((v for v in groups if v[0] == 0),
                   key=lambda v: (_first_nonzero(v), tuple(-x for x in v)))
     order = diag + rest
-    classes = tuple(tuple(groups[v]) for v in order)
-    index = [[0] * n for _ in range(n)]
-    for i, v in enumerate(order):
-        for u, w in groups[v]:
-            index[u][w] = i
-    return PairPartition(
-        n=n,
-        classes=classes,
-        class_walk_vectors=tuple(order),
-        class_index=tuple(tuple(row) for row in index),
-        diagonal_classes=tuple(range(len(diag))),
-    )
+    return PairPartition.of(n, order, [tuple(groups[v]) for v in order])
 
 
 @dataclass(frozen=True)
@@ -221,13 +215,13 @@ class LocalPartition:
 
 
 def local_partition(pp: PairPartition, u: int) -> LocalPartition:
-    cells, ids = [], []
-    for i, cls in enumerate(pp.classes):
-        cell = tuple(v for (x, v) in cls if x == u)
-        if cell:
-            cells.append(cell)
-            ids.append(i)
-    return LocalPartition(center=u, cells=tuple(cells), class_ids=tuple(ids))
+    """Cells in class order, vertices ascending; one row of the pair index."""
+    cells: dict[int, list[int]] = {}
+    for v, i in enumerate(pp.class_index[u]):
+        cells.setdefault(i, []).append(v)
+    ids = sorted(cells)
+    return LocalPartition(center=u, cells=tuple(tuple(cells[i]) for i in ids),
+                          class_ids=tuple(ids))
 
 
 def is_distance_faithful(lp: LocalPartition, dd: DistanceData) -> bool:

@@ -9,21 +9,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AnalysisError, ContractViolationError
-from .exact import (Polynomial, RowBasis, identity, is_nonneg_int_matrix,
-                    mat_mul, mat_vec, rank, solve, to_int_matrix, transpose)
+from .exact import (Polynomial, identity, is_nonneg_int_matrix, mat_mul,
+                    mat_vec, rank, solve, to_int_matrix, transpose)
 from .graphs import Graph
 from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
                          check_regular, group_pairs, local_partition)
-
-
-def local_dimension(g: Graph, u: int) -> int:
-    """d_u+1: rank over Q of the columns e_u, A e_u, A^2 e_u, ..."""
-    a = g.adjacency_matrix()
-    basis = RowBasis()
-    vec = [1 if v == u else 0 for v in range(g.n)]
-    while basis.add(vec):
-        vec = mat_vec(a, vec)
-    return basis.rank
 
 
 @dataclass(frozen=True)
@@ -91,8 +81,8 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     g, pp, d = alg.g, alg.partition, alg.d
     r = pp.r
     # d_u+1 equals the rank of the walk vectors of the classes meeting u
-    # (A^l e_u is constant on local cells); local_dimension() is the
-    # independent slow-path oracle for this, exercised in tests.
+    # (A^l e_u is constant on local cells); the tests compare it with an
+    # independent oracle that ranks e_u, A e_u, A^2 e_u, ... directly.
     local_dims = tuple(
         rank([pp.class_walk_vectors[i] for i in local_partition(pp, u).class_ids])
         for u in range(g.n))

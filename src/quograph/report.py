@@ -11,15 +11,16 @@ import json
 import logging
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .errors import (AnalysisError, ContractViolationError, SizeLimitError,
                      ToleranceError)
 from .exact import Polynomial, frac_str, parse_frac, poly_to_text
 from .graphs import Graph
-from .orbits import (DEFAULT_VERTEX_CAP, automorphisms, is_orbit_polynomial,
-                     orbit_partition)
-from .partitions import WalkAlgebra
-from .quotient import (decide_quotient_polynomial, extended_partition_stable)
+from .orbits import automorphisms, is_orbit_polynomial, orbit_partition
+from .partitions import PairPartition, WalkAlgebra
+from .quotient import (QuotientReport, decide_quotient_polynomial,
+                       extended_partition_stable)
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,
@@ -32,7 +33,6 @@ log = logging.getLogger("quograph")
 @dataclass(frozen=True)
 class AnalysisOptions:
     orbits: bool = False
-    orbit_cap: int = DEFAULT_VERTEX_CAP
     tol: Tolerances = field(default_factory=Tolerances)
     debug_checks: bool = False
 
@@ -49,7 +49,7 @@ class Report:
     n: int
     degree_sequence: list[int]
     diameter: int | None
-    quotient: object | None = None           # QuotientReport
+    quotient: QuotientReport | None = None
     flags: ClassificationFlags | None = None
     scheme: AssociationScheme | None = None
     scheme_generates: bool | None = None
@@ -110,7 +110,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
 
     if options.orbits:
         try:
-            auts = automorphisms(g, cap=options.orbit_cap)
+            auts = automorphisms(g)
             op = orbit_partition(auts, g.n)
             flags.orbit_polynomial = is_orbit_polynomial(alg, op)
             report.orbit = OrbitResult(
@@ -127,6 +127,19 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
 
 
 # --- serialization --------------------------------------------------------
+# Both directions walk one table per flat section, with rows (json key,
+# attribute path, (encode, decode)); a derived key has decode None. The
+# partition and scheme sections have shapes of their own.
+
+def _same(x):
+    return x
+
+
+def _optional(codec):
+    enc, dec = codec
+    return (lambda x: None if x is None else enc(x),
+            lambda x: None if x is None else dec(x))
+
 
 def _poly_json(p: Polynomial) -> list[str]:
     return [frac_str(c) for c in p.coeffs]
@@ -136,31 +149,66 @@ def _poly_from_json(arr) -> Polynomial:
     return Polynomial.of([parse_frac(s) for s in arr])
 
 
+_PLAIN = (_same, _same)
+_LIST = (list, list)
+_TUPLE = (list, tuple)
+_POLY = (_poly_json, _poly_from_json)
+_POLYS = (lambda ps: [_poly_json(p) for p in ps],
+          lambda arr: tuple(_poly_from_json(p) for p in arr))
+
+_GRAPH = (
+    ("n", "n", _PLAIN),
+    ("degree_sequence", "degree_sequence", _LIST),
+    ("diameter", "diameter", _PLAIN),
+)
+_QUOTIENT = (
+    ("d", "d", _PLAIN),
+    ("r", "r", _PLAIN),
+    ("quotient_polynomial", "is_quotient_polynomial", _PLAIN),
+    ("local_dimensions", "local_dimensions", _TUPLE),
+    ("diagonal_is_identity", "partition.diagonal_is_identity", (_same, None)),
+    ("polynomials", "polynomials", _optional(_POLYS)),
+    ("hoffman", "hoffman", _optional(_POLY)),
+    ("intersection_matrix", "intersection_b", _PLAIN),
+    ("walk_matrix", "walk_matrix", _PLAIN),
+    ("walk_matrix_plus", "walk_matrix_plus", _PLAIN),
+)
+_SPECTRUM = (
+    ("eigenvalues", "eigenvalues", _LIST),
+    ("multiplicities", "multiplicities", _LIST),
+)
+_FLAGS = (
+    ("walk_regular", "walk_regular", _PLAIN),
+    ("h_punctually_walk_regular", "h_punctual", _TUPLE),
+    ("distance_regular", "distance_regular", _PLAIN),
+    ("distance_polynomial", "distance_polynomial", _PLAIN),
+    ("quotient_polynomial", "quotient_polynomial", _PLAIN),
+    ("orbit_polynomial", "orbit_polynomial", _PLAIN),
+    ("distance_polynomials", "distance_polys", _optional(_POLYS)),
+)
+_ORBITS = (
+    ("num_automorphisms", "num_automorphisms", _PLAIN),
+    ("num_orbits", "num_orbits", _PLAIN),
+    ("orbit_polynomial", "orbit_polynomial", _PLAIN),
+)
+
+
+def _encode(table, obj) -> dict:
+    return {key: enc(attrgetter(path)(obj)) for key, path, (enc, _) in table}
+
+
+def _decode(table, section: dict) -> dict:
+    """Constructor keyword arguments from one JSON section."""
+    return {path: dec(section[key])
+            for key, path, (_, dec) in table if dec is not None}
+
+
 def report_to_dict(report: Report) -> dict:
-    d: dict = {
-        "graph": {
-            "n": report.n,
-            "degree_sequence": report.degree_sequence,
-            "diameter": report.diameter,
-        },
-        "error": report.error,
-    }
+    d: dict = {"graph": _encode(_GRAPH, report), "error": report.error}
     rep = report.quotient
     if rep is not None:
         pp = rep.partition
-        d["quotient"] = {
-            "d": rep.d,
-            "r": rep.r,
-            "quotient_polynomial": rep.is_quotient_polynomial,
-            "local_dimensions": list(rep.local_dimensions),
-            "diagonal_is_identity": pp.diagonal_is_identity,
-            "polynomials": ([_poly_json(p) for p in rep.polynomials]
-                            if rep.polynomials else None),
-            "hoffman": _poly_json(rep.hoffman) if rep.hoffman else None,
-            "intersection_matrix": rep.intersection_b,
-            "walk_matrix": rep.walk_matrix,
-            "walk_matrix_plus": rep.walk_matrix_plus,
-        }
+        d["quotient"] = _encode(_QUOTIENT, rep)
         d["partition"] = {
             "num_classes": pp.r + 1,
             "classes": [
@@ -170,22 +218,9 @@ def report_to_dict(report: Report) -> dict:
             ],
         }
     if report.eigenvalues is not None:
-        d["spectrum"] = {
-            "eigenvalues": report.eigenvalues,
-            "multiplicities": report.multiplicities,
-        }
+        d["spectrum"] = _encode(_SPECTRUM, report)
     if report.flags is not None:
-        f = report.flags
-        d["flags"] = {
-            "walk_regular": f.walk_regular,
-            "h_punctually_walk_regular": list(f.h_punctual),
-            "distance_regular": f.distance_regular,
-            "distance_polynomial": f.distance_polynomial,
-            "quotient_polynomial": f.quotient_polynomial,
-            "orbit_polynomial": f.orbit_polynomial,
-            "distance_polynomials": ([_poly_json(p) for p in f.distance_polys]
-                                     if f.distance_polys is not None else None),
-        }
+        d["flags"] = _encode(_FLAGS, report.flags)
     if report.scheme is not None:
         d["scheme"] = {
             "classes": [[x for row in m for x in row] for m in report.scheme.classes],
@@ -195,11 +230,7 @@ def report_to_dict(report: Report) -> dict:
             "generates": report.scheme_generates,
         }
     if report.orbit is not None:
-        d["orbits"] = {
-            "num_automorphisms": report.orbit.num_automorphisms,
-            "num_orbits": report.orbit.num_orbits,
-            "orbit_polynomial": report.orbit.orbit_polynomial,
-        }
+        d["orbits"] = _encode(_ORBITS, report.orbit)
     return d
 
 
@@ -245,56 +276,20 @@ def report_to_text(report: Report) -> str:
 
 def report_from_dict(d: dict) -> Report:
     """Rebuild a Report from its JSON dict; inverse of report_to_dict."""
-    from .partitions import PairPartition
-    from .quotient import QuotientReport
-
-    n = d["graph"]["n"]
-    report = Report(n=n,
-                    degree_sequence=list(d["graph"]["degree_sequence"]),
-                    diameter=d["graph"]["diameter"],
+    spectrum = _decode(_SPECTRUM, d["spectrum"]) if "spectrum" in d else {}
+    report = Report(**_decode(_GRAPH, d["graph"]), **spectrum,
                     error=d.get("error"))
+    n = report.n
     if "quotient" in d:
-        q = d["quotient"]
-        pj = d["partition"]
-        vecs = tuple(tuple(int(x) for x in c["walk_vector"]) for c in pj["classes"])
-        classes = tuple(tuple((u, v) for u, v in c["pairs"]) for c in pj["classes"])
-        index = [[0] * n for _ in range(n)]
-        for i, cls in enumerate(classes):
-            for u, v in cls:
-                index[u][v] = i
-        pp = PairPartition(
-            n=n, classes=classes, class_walk_vectors=vecs,
-            class_index=tuple(tuple(row) for row in index),
-            diagonal_classes=tuple(i for i, v in enumerate(vecs) if v[0] == 1))
+        classes = d["partition"]["classes"]
+        pp = PairPartition.of(
+            n, tuple(tuple(int(x) for x in c["walk_vector"]) for c in classes),
+            tuple(tuple((u, v) for u, v in c["pairs"]) for c in classes))
         report.quotient = QuotientReport(
-            d=q["d"], r=q["r"], diameter=d["graph"]["diameter"],
-            is_quotient_polynomial=q["quotient_polynomial"],
-            partition=pp,
-            local_dimensions=tuple(q["local_dimensions"]),
-            polynomials=(tuple(_poly_from_json(p) for p in q["polynomials"])
-                         if q["polynomials"] is not None else None),
-            hoffman=(_poly_from_json(q["hoffman"])
-                     if q["hoffman"] is not None else None),
-            intersection_b=q["intersection_matrix"],
-            walk_matrix=q["walk_matrix"],
-            walk_matrix_plus=q["walk_matrix_plus"],
-        )
-    if "spectrum" in d:
-        report.eigenvalues = list(d["spectrum"]["eigenvalues"])
-        report.multiplicities = list(d["spectrum"]["multiplicities"])
+            **_decode(_QUOTIENT, d["quotient"]),
+            diameter=report.diameter, partition=pp)
     if "flags" in d:
-        f = d["flags"]
-        report.flags = ClassificationFlags(
-            walk_regular=f["walk_regular"],
-            h_punctual=tuple(f["h_punctually_walk_regular"]),
-            distance_regular=f["distance_regular"],
-            distance_polynomial=f["distance_polynomial"],
-            quotient_polynomial=f["quotient_polynomial"],
-            orbit_polynomial=f["orbit_polynomial"],
-            distance_polys=(tuple(_poly_from_json(p)
-                                  for p in f["distance_polynomials"])
-                            if f["distance_polynomials"] is not None else None),
-        )
+        report.flags = ClassificationFlags(**_decode(_FLAGS, d["flags"]))
     if "scheme" in d:
         s = d["scheme"]
         mats = tuple(
@@ -306,11 +301,7 @@ def report_from_dict(d: dict) -> Report:
                 for pk in s["intersection_numbers"]))
         report.scheme_generates = s["generates"]
     if "orbits" in d:
-        o = d["orbits"]
-        report.orbit = OrbitResult(
-            num_automorphisms=o["num_automorphisms"],
-            num_orbits=o["num_orbits"],
-            orbit_polynomial=o["orbit_polynomial"])
+        report.orbit = OrbitResult(**_decode(_ORBITS, d["orbits"]))
     return report
 
 

@@ -7,12 +7,10 @@ disagrees, we abort with diagnostics instead of silently proceeding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import ContractViolationError, ToleranceError
-from .exact import Polynomial, combine_powers, eval_poly, mat_mul, trace
+from .errors import ToleranceError
 from .graphs import Graph
 from .partitions import WalkAlgebra
 
@@ -23,8 +21,6 @@ class Tolerances:
 
     eig_gap_rel: float = 1e-8       # relative gap for eigenvalue grouping
     pair_match: float = 1e-8        # m-vector grouping in spectrum_partition
-    scalar_product: float = 1e-6    # trace form vs spectral sum agreement
-    b_trace: float = 1e-9           # b_via_trace vs exact B agreement
 
     @staticmethod
     def with_base(base: float) -> "Tolerances":
@@ -41,11 +37,6 @@ class Spectrum:
 class SpectralDecomposition:
     spectrum: Spectrum
     idempotents: tuple  # numpy arrays E_0..E_d, descending eigenvalue order
-
-
-@dataclass(frozen=True)
-class MultiplicityVector:
-    values: tuple[float, ...]
 
 
 def spectral_decomposition(alg: WalkAlgebra,
@@ -82,11 +73,6 @@ def spectral_decomposition(alg: WalkAlgebra,
         idempotents=tuple(idems))
 
 
-def crossed_multiplicities(sd: SpectralDecomposition, u: int, v: int) -> MultiplicityVector:
-    """m(u,v): the (u,v)-entries of the idempotents E_0..E_d."""
-    return MultiplicityVector(tuple(float(e[u, v]) for e in sd.idempotents))
-
-
 def spectrum_partition(g: Graph, sd: SpectralDecomposition,
                        tol: float = Tolerances().pair_match):
     """Partition of V x V by m(u,v) vectors under component-wise tolerance.
@@ -116,40 +102,3 @@ def spectrum_partition(g: Graph, sd: SpectralDecomposition,
             reps = np.vstack([reps, vec])
             members.append([(idx // n, idx % n)])
     return frozenset(frozenset(c) for c in members)
-
-
-def graph_scalar_product(g: Graph, sp: Spectrum,
-                         f: Polynomial, h: Polynomial,
-                         tol: Tolerances = Tolerances()) -> float:
-    """<f,h> = (1/n) tr(f(A)h(A)); cross-checked against the spectral sum."""
-    a = g.adjacency_matrix()
-    fa = eval_poly(f, a)
-    ha = eval_poly(h, a)
-    n = g.n
-    exact = sum(fa[i][j] * ha[j][i] for i in range(n) for j in range(n)) / n
-    numeric = sum(m * f(lam) * h(lam)
-                  for lam, m in zip(sp.eigenvalues, sp.multiplicities)) / n
-    val = float(exact)
-    if abs(val - numeric) > tol.scalar_product * max(1.0, abs(val)):
-        raise ToleranceError(
-            f"scalar product mismatch: trace form {val} vs spectral sum {numeric}")
-    return val
-
-
-def b_via_trace(alg: WalkAlgebra, polys, i: int, j: int) -> float:
-    """tr(A V_i V_j) / tr(V_j^2) with V_k = p_k(A); equals (B^T)_{ij}.
-
-    When the edges form a single walk class A is exactly V_1 and this is the
-    classical p^j_{1i} ratio; using A directly keeps the identity with
-    B = W^-1 W+ valid when the adjacency matrix splits into several classes.
-    Computed with exact matrix traces, then converted to float.
-    """
-    a = alg.g.adjacency_matrix()
-    vi = combine_powers(polys[i].coeffs, alg.ladder)
-    vj = combine_powers(polys[j].coeffs, alg.ladder)
-    denom = trace(mat_mul(vj, vj))
-    if denom == 0:
-        raise ContractViolationError(
-            "class matrix V_j is zero; classes are nonempty by construction")
-    num = trace(mat_mul(mat_mul(a, vi), vj))
-    return float(Fraction(num) / Fraction(denom))

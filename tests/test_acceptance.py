@@ -8,13 +8,14 @@ import time
 from fractions import Fraction
 
 from quograph import (WalkAlgebra, analyze, automorphisms,
-                      decide_quotient_polynomial, distances, eval_poly,
-                      graph_scalar_product, is_distance_faithful,
-                      is_orbit_polynomial, local_partition, orbit_partition,
-                      parse_edge_list, parse_graph_spec, b_via_trace,
-                      petersen_graph, spectral_decomposition)
+                      decide_quotient_polynomial, distances,
+                      is_distance_faithful, is_orbit_polynomial,
+                      local_partition, orbit_partition, parse_edge_list,
+                      parse_graph_spec, petersen_graph,
+                      spectral_decomposition)
 from quograph.exact import transpose
 
+from oracles import b_via_trace, eval_poly, graph_scalar_product
 from test_schemes import brute_intersection_numbers
 from worked_examples import (CIRC17_B, CIRC17_BT, CIRC17_EIGS, CIRC17_POLYS,
                              CIRC17_W, CIRC17_W_PLUS, Y6_A1, Y6_A4,

@@ -4,6 +4,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quograph import (GraphInputError, parse_circulant, parse_edge_list,
                       parse_graph6, parse_graph_spec)
@@ -44,6 +45,16 @@ def test_graph6_long_size_field():
     assert g.n == 100 and len(g.edges()) == 100
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(63, 130), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+def test_graph6_round_trip_large(n, p, seed):
+    # n >= 63 needs the 4-byte size field
+    G = nx.gnp_random_graph(n, p, seed=seed)
+    g = parse_graph6(to_graph6(G))
+    assert g.n == n
+    assert sorted(g.edges()) == sorted(tuple(sorted(e)) for e in G.edges())
+
+
 def test_graph6_header_prefix():
     g = parse_graph6(">>graph6<<A_")
     assert g.n == 2
@@ -58,6 +69,10 @@ def test_graph6_errors_carry_offsets():
         parse_graph6("D?")                   # truncated body for n=5
     with pytest.raises(GraphInputError, match="empty vertex set"):
         parse_graph6("?")                    # n = 0
+    with pytest.raises(GraphInputError, match="size field at offset 1"):
+        parse_graph6("~?@")                  # 2 of the 3 bytes after 126
+    with pytest.raises(GraphInputError, match="size field at offset 2"):
+        parse_graph6("~~???")                # 3 of the 6 bytes after 126 126
 
 
 def test_parse_circulant():

@@ -4,9 +4,10 @@ import numpy as np
 from quograph import (WalkAlgebra, adjacency_power_ladder, build_graph,
                       check_regular, circulant, complete_graph, cycle_graph,
                       distances, global_partition, is_distance_faithful,
-                      local_partition, path_graph, prism_y6, walk_vectors)
+                      local_partition, path_graph, prism_y6)
 from quograph.partitions import LocalPartition
 
+from oracles import walk_vectors
 from worked_examples import CIRC17_B, CIRC17_CELLS
 
 

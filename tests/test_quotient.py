@@ -5,12 +5,12 @@ import pytest
 
 from quograph import (Polynomial, WalkAlgebra, build_graph, circulant,
                       complete_graph, cycle_graph, decide_quotient_polynomial,
-                      eval_poly, global_partition, intersection_matrix,
-                      local_dimension, local_partition, path_graph,
-                      per_vertex_consistency, petersen_graph, prism_y6,
-                      walk_count_matrices)
+                      global_partition, intersection_matrix, local_partition,
+                      path_graph, per_vertex_consistency, petersen_graph,
+                      prism_y6, walk_count_matrices)
 from quograph.errors import AnalysisError
 
+from oracles import eval_poly, local_dimension
 from worked_examples import (CIRC17_B, CIRC17_POLYS, CIRC17_W, CIRC17_W_PLUS)
 
 

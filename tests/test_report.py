@@ -1,5 +1,8 @@
 """Report pipeline, serialization round trip, and census records."""
+import hashlib
 import json
+import sys
+from pathlib import Path
 
 from quograph import (AnalysisOptions, analyze, build_graph, census,
                       cycle_graph, path_graph, petersen_graph,
@@ -33,6 +36,22 @@ def test_json_round_trip(circ17, y6):
         assert d1 == d2
         # serialization itself is deterministic
         assert report_to_json(rpt) == json.dumps(d1, indent=2)
+
+
+def test_corpus_json_matches_committed_digests(corpus_reports):
+    """Every corpus report serializes to the bytes the benchmark committed,
+    and report_from_dict gives those bytes back."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    digests = json.loads((bench / "digests.json").read_text())["corpus"]
+    specs = workload_inputs("corpus", DEFAULT_SEED)
+    reports, _ = corpus_reports
+    assert len(specs) == len(reports)
+    for spec, rpt in zip(specs, reports):
+        js = report_to_json(rpt)
+        assert hashlib.sha256(js.encode()).hexdigest() == digests[spec], spec
+        assert report_to_json(report_from_dict(json.loads(js))) == js, spec
 
 
 def test_json_round_trip_with_orbits():

@@ -164,10 +164,7 @@ def _pair_partition(index):
     n, s = len(index), max(map(max, index)) + 1
     classes = tuple(tuple((u, v) for u in range(n) for v in range(n)
                           if index[u][v] == k) for k in range(s))
-    return PairPartition(n=n, classes=classes,
-                         class_walk_vectors=tuple((k,) for k in range(s)),
-                         class_index=tuple(map(tuple, index)),
-                         diagonal_classes=(0,))
+    return PairPartition.of(n, [(int(k == 0), k) for k in range(s)], classes)
 
 
 @pytest.mark.parametrize("index,message", [

@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 
 from quograph import (Polynomial, ToleranceError, Tolerances, WalkAlgebra,
-                      b_via_trace, complete_graph, crossed_multiplicities,
-                      cycle_graph, decide_quotient_polynomial,
-                      global_partition, graph_scalar_product,
-                      spectral_decomposition, spectrum_partition)
+                      complete_graph, cycle_graph, decide_quotient_polynomial,
+                      global_partition, spectral_decomposition,
+                      spectrum_partition)
 
+from oracles import b_via_trace, crossed_multiplicities, graph_scalar_product
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
 
 
