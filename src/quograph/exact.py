@@ -2,8 +2,9 @@
 
 Matrices are plain nested lists; integer matrices hold Python ints (unbounded,
 walk counts grow like k^l), rational ones hold Fractions in lowest terms.
-Every classification decision in the package runs through this module so that
-it is a yes/no fact, never a tolerance call.
+Every classification decision in the package runs through this module, or
+through the Python-int ladder pass in partitions.py, so that it is a yes/no
+fact, never a tolerance call.
 """
 from __future__ import annotations
 
@@ -21,10 +22,6 @@ def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def all_ones(n: int) -> IntMatrix:
-    return [[1] * n for _ in range(n)]
-
-
 def transpose(m):
     return [list(row) for row in zip(*m)]
 
@@ -40,10 +37,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
-def trace(m) -> int | Fraction:
-    return sum(m[i][i] for i in range(len(m)))
 
 
 class RowBasis:
@@ -81,16 +74,6 @@ class RowBasis:
                 self._rows[j] = [y // g for y in row]
                 return True
         return False
-
-    def contains(self, row) -> bool:
-        """True iff `row` already lies in the span (does not modify the basis)."""
-        row = list(row)
-        for p in sorted(self._rows):
-            if row[p]:
-                r = self._rows[p]
-                a, b = r[p], row[p]
-                row = [a * x - b * y for x, y in zip(row, r)]
-        return not any(row)
 
 
 def _int_rows(m) -> list[list[int]]:

@@ -1,38 +1,96 @@
 """Walk vectors, the walk-regular partition of V x V, and the walk algebra.
 
 Pairs (u,v) are grouped by their exact vector of walk counts
-(a_uv^(0), ..., a_uv^(d)); the classes J_0..J_r and their 0/1 matrices drive
-every later decision. Big-integer vectors are compared exactly, never hashed
-down to machine words.
+(a_uv^(0), ..., a_uv^(d)), refined one power at a time; the classes
+J_0..J_r and their 0/1 matrices drive every later decision. Big-integer
+vectors are compared exactly, never hashed down to machine words.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .errors import ContractViolationError
-from .exact import Polynomial, RowBasis, identity, mat_mul, solve
+from .exact import Polynomial, identity
 from .graphs import DistanceData, Graph, distance_class_matrix, require_connected
 
 
-def adjacency_power_ladder(g: Graph) -> list[list[list[int]]]:
-    """[I, A, ..., A^d] where d+1 is the adjacency algebra dimension.
+@dataclass(frozen=True)
+class Ladder:
+    """The powers I, A, ..., A^d and what the class-level pass that found
+    them knows: the walk classes of V x V, d+1 pairs whose walk vectors
+    form the basis block B, its integer inverse adj = det * B^-1, and the
+    minimal polynomial. len() is d+1, the adjacency algebra dimension."""
 
-    Powers are appended while their vectorizations stay linearly independent
-    over Q; the first dependent power ends the ladder (all higher powers are
-    then dependent too).
+    powers: tuple                              # I, A, ..., A^d, n x n ints
+    class_ids: tuple[int, ...]                 # pair u*n+v -> class
+    class_vectors: tuple[tuple[int, ...], ...]  # class -> (a^(0)..a^(d))
+    basis_pairs: tuple[int, ...]               # row i of B is at pair i
+    adj: tuple[tuple[int, ...], ...]
+    det: int
+    minimal_polynomial: Polynomial
+
+    def __len__(self) -> int:
+        return len(self.powers)
+
+
+def adjacency_power_ladder(g: Graph) -> Ladder:
+    """I, A, ..., A^d where d+1 is the adjacency algebra dimension.
+
+    One pass per power, all in Python integers:
+    - A^(l+1) sums the rows A^l[w] over the neighbours w of each vertex:
+      O(n^2 k) additions, not an O(n^3) product;
+    - the pair classes are refined by the key (class, new entry), as in
+      1-WL colour refinement, so every power so far is constant on them;
+    - the new power is tested against the span of the earlier ones on the
+      classes alone, with the basis block kept as adj = det * B^-1 and
+      bordered by one row and column per new power (fraction-free, after
+      Bareiss). The first dependent power A^(d+1) ends the ladder, and its
+      coordinates give the minimal polynomial.
     """
-    a = g.adjacency_matrix()
-    basis = RowBasis()
+    n = g.n
+    nbrs = [sorted(g.neighbors[u]) for u in range(n)]
+    cur = identity(n)
     powers = []
-    cur = identity(g.n)
+    ids = [0] * (n * n)       # every power so far is constant on each class
+    vectors = [()]            # class -> its entries in the powers so far
+    basis: list[int] = []     # pairs whose walk vectors are the rows of B
+    adj, det = [], 1
     while True:
-        vec = [x for row in cur for x in row]
-        if not basis.add(vec):
-            return powers
+        vals = [x for row in cur for x in row]
+        b = [vals[p] for p in basis]
+        y = [sum(a * x for a, x in zip(row, b)) for row in adj]  # det B^-1 b
+        keys: dict[tuple, int] = {}
+        new = [keys.setdefault(key, len(keys)) for key in zip(ids, vals)]
+        for j, (k, x) in enumerate(keys):
+            m = vectors[k]
+            t = det * x - sum(c * z for c, z in zip(m, y))
+            if t:
+                break
+        else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
+            return Ladder(tuple(powers), tuple(ids), tuple(vectors),
+                          tuple(basis), tuple(map(tuple, adj)), det,
+                          Polynomial.of([Fraction(-c, det) for c in y] + [1]))
+        # border B with the row m_j, x_j and the column b: det' = t
+        z = [sum(c * a for c, a in zip(m, col)) for col in zip(*adj)]  # m adj
+        grown = []
+        for row, yi in zip(adj, y):
+            out = []
+            for a, zi in zip(row, z):
+                q, rem = divmod(t * a + yi * zi, det)
+                if rem:
+                    raise ContractViolationError(
+                        "bordered inverse of the basis block is not integral")
+                out.append(q)
+            grown.append(out + [-yi])
+        adj, det = grown + [[-zi for zi in z] + [det]], t
+        basis.append(new.index(j))
+        ids, vectors = new, [vectors[k] + (x,) for k, x in keys]
         powers.append(cur)
-        cur = mat_mul(cur, a)
+        cur = [list(map(sum, zip(*[cur[w] for w in nb]))) if nb else [0] * n
+               for nb in nbrs]
 
 
 def _first_nonzero(vec) -> int:
@@ -89,19 +147,35 @@ class PairPartition:
         return frozenset(frozenset(c) for c in self.classes)
 
 
+def _class_order(v: tuple[int, ...]):
+    """Diagonal classes (a^(0) = 1) first, ascending; then the rest by
+    distance and descending walk vector."""
+    if v[0] == 1:
+        return (0, v)
+    return (1, _first_nonzero(v), tuple(-x for x in v))
+
+
+def _ordered_partition(n: int, ids, vectors) -> PairPartition:
+    """The partition whose pair u*n+v lies in class ids[u*n+v], with walk
+    vector vectors[ids[u*n+v]]; classes in `_class_order`, pairs row-major."""
+    order = sorted(range(len(vectors)), key=lambda k: _class_order(vectors[k]))
+    place = [0] * len(vectors)
+    for i, k in enumerate(order):
+        place[k] = i
+    classes: list[list[tuple[int, int]]] = [[] for _ in order]
+    for p, k in enumerate(ids):
+        classes[place[k]].append(divmod(p, n))
+    return PairPartition.of(n, [vectors[k] for k in order],
+                            [tuple(c) for c in classes])
+
+
 def group_pairs(n: int, ladder) -> PairPartition:
     """Group all ordered pairs by exact equality of their entries in the
     given powers [I, A, A^2, ...]."""
-    groups: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for u in range(n):
-        for v in range(n):
-            vec = tuple(p[u][v] for p in ladder)
-            groups.setdefault(vec, []).append((u, v))
-    diag = sorted(v for v in groups if v[0] == 1)           # a^(0)=1 iff u=v
-    rest = sorted((v for v in groups if v[0] == 0),
-                  key=lambda v: (_first_nonzero(v), tuple(-x for x in v)))
-    order = diag + rest
-    return PairPartition.of(n, order, [tuple(groups[v]) for v in order])
+    groups: dict[tuple[int, ...], int] = {}
+    ids = [groups.setdefault(tuple(p[u][v] for p in ladder), len(groups))
+           for u in range(n) for v in range(n)]
+    return _ordered_partition(n, ids, list(groups))
 
 
 @dataclass(frozen=True)
@@ -113,28 +187,27 @@ class WalkAlgebra:
     p(A) = T holds exactly when T is constant on classes and M c = t, where
     c are the coefficients of p, t the class values of T, and M the
     (r+1) x (d+1) class walk matrix, M[k][l] = a^(l) on class k. M has rank
-    d+1, the rank of the vectorized ladder.
+    d+1, the rank of the vectorized ladder; its basis rows form the block B,
+    kept as the integer matrix adj = det * B^-1.
     """
 
     g: Graph
     dd: DistanceData
     ladder: tuple            # I, A, ..., A^d
     partition: PairPartition
-    basis_rows: tuple[int, ...]  # d+1 classes whose rows of M are independent
+    basis_rows: tuple[int, ...]  # the classes of the rows of B, in order
+    adj: tuple[tuple[int, ...], ...]
+    det: int
+    minimal_polynomial: Polynomial  # monic, degree d+1
 
     @staticmethod
     def of(g: Graph) -> WalkAlgebra:
         dd = require_connected(g)
-        ladder = tuple(adjacency_power_ladder(g))
-        pp = group_pairs(g.n, ladder)
-        basis, rows = RowBasis(), []
-        for k, vec in enumerate(pp.class_walk_vectors):
-            if basis.add(vec):
-                rows.append(k)
-        if len(rows) != len(ladder):
-            raise ContractViolationError(
-                f"class walk matrix has rank {len(rows)}, expected d+1 = {len(ladder)}")
-        return WalkAlgebra(g, dd, ladder, pp, tuple(rows))
+        lad = adjacency_power_ladder(g)
+        pp = _ordered_partition(g.n, lad.class_ids, lad.class_vectors)
+        rows = tuple(pp.class_index[p // g.n][p % g.n] for p in lad.basis_pairs)
+        return WalkAlgebra(g, dd, lad.powers, pp, rows, lad.adj, lad.det,
+                           lad.minimal_polynomial)
 
     @property
     def d(self) -> int:
@@ -171,15 +244,18 @@ class WalkAlgebra:
         """The polynomials p_j with p_j(A) = columns[j][k] on every class k,
         or None when some column lies outside the column space of M.
 
-        One exact solve on the d+1 basis rows, then every row of M checked.
+        c = adj t on the basis rows, then M c = det t checked in integers on
+        all r+1 rows; p_j has coefficients c / det.
         """
-        rows = self.basis_rows
-        sol = solve([self.m[k] for k in rows],
-                    [[col[k] for col in columns] for k in rows])
-        polys = [Polynomial.of(c) for c in zip(*sol)]
-        if all(self.satisfies(p, col) for p, col in zip(polys, columns)):
-            return polys
-        return None
+        polys = []
+        for col in columns:
+            t = [col[k] for k in self.basis_rows]
+            c = [sum(a * x for a, x in zip(row, t)) for row in self.adj]
+            if any(sum(x * y for x, y in zip(row, c)) != self.det * v
+                   for row, v in zip(self.m, col)):
+                return None
+            polys.append(Polynomial.of([Fraction(x, self.det) for x in c]))
+        return polys
 
     def satisfies(self, p: Polynomial, values) -> bool:
         """p(A) equals values[k] on every class k: M c = values, checked in

@@ -81,16 +81,21 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     g, pp, d = alg.g, alg.partition, alg.d
     r = pp.r
     # d_u+1 equals the rank of the walk vectors of the classes meeting u
-    # (A^l e_u is constant on local cells); the tests compare it with an
-    # independent oracle that ranks e_u, A e_u, A^2 e_u, ... directly.
-    local_dims = tuple(
-        rank([pp.class_walk_vectors[i] for i in local_partition(pp, u).class_ids])
-        for u in range(g.n))
+    # (A^l e_u is constant on local cells), ranked once per set of classes;
+    # the tests compare it with an independent oracle that ranks e_u, A e_u,
+    # A^2 e_u, ... directly.
+    ranks: dict[frozenset[int], int] = {}
+    local_dims = []
+    for row in pp.class_index:
+        ids = frozenset(row)
+        if ids not in ranks:
+            ranks[ids] = rank([pp.class_walk_vectors[i] for i in ids])
+        local_dims.append(ranks[ids])
     rep = QuotientReport(
         d=d, r=r, diameter=alg.dd.diameter,
         is_quotient_polynomial=(r == d),
         partition=pp,
-        local_dimensions=local_dims,
+        local_dimensions=tuple(local_dims),
     )
     if not rep.is_quotient_polynomial:
         return rep

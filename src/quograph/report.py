@@ -24,7 +24,8 @@ from .quotient import (QuotientReport, decide_quotient_polynomial,
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,
-                      is_walk_regular, qp_implies_dp, scheme_via_solve)
+                      is_walk_regular, qp_implies_dp, scheme_ring_check,
+                      scheme_via_solve)
 from .spectral import (Tolerances, spectral_decomposition, spectrum_partition)
 
 log = logging.getLogger("quograph")
@@ -102,6 +103,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
             if not scheme_via_solve(scheme):
                 raise ContractViolationError(
                     "solve-based intersection numbers disagree with read-off")
+            scheme_ring_check(alg, rep, scheme)  # raises on failure
             qp_implies_dp(alg, rep)  # raises on failure
 
     if options.debug_checks and not extended_partition_stable(alg):

@@ -8,6 +8,7 @@ contract violation, not a soft warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
 
@@ -165,6 +166,41 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
         if not np.array_equal(mats[i] @ mats, want):
             return False
     return True
+
+
+def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
+                      scheme: AssociationScheme) -> None:
+    """Debug witness: p_i p_j = sum_k p^k_ij p_k modulo the minimal
+    polynomial mu, for all i <= j; raises ContractViolationError otherwise.
+
+    With p_k(A) = J_k this is J_i J_j = sum_k p^k_ij J_k read in the
+    polynomial ring, O(d^4) work that shares nothing with the pair count or
+    the int64 products. It runs on c p_k, integral for c the common
+    denominator; mu is monic and integral, A being an integer matrix.
+    """
+    mu = alg.minimal_polynomial.coeffs
+    if any(c.denominator != 1 for c in mu):
+        raise ContractViolationError("minimal polynomial is not integral")
+    mu, deg = [int(c) for c in mu], len(mu) - 1
+    den = lcm(*(c.denominator for q in rep.polynomials for c in q.coeffs))
+    polys = [[int(c * den) for c in q.coeffs] + [0] * (deg - len(q.coeffs))
+             for q in rep.polynomials]
+    p = scheme.intersection_numbers
+    for i, pi in enumerate(polys):
+        for j in range(i, len(polys)):
+            prod = [0] * (2 * deg - 1)
+            for a, x in enumerate(pi):
+                for b, y in enumerate(polys[j]):
+                    prod[a + b] += x * y
+            for top in range(2 * deg - 2, deg - 1, -1):  # subtract x^e mu
+                q = prod[top]
+                for t, c in enumerate(mu):
+                    prod[top - deg + t] -= q * c
+            want = [den * sum(p[k][i][j] * pk[t] for k, pk in enumerate(polys))
+                    for t in range(deg)]
+            if prod[:deg] != want:
+                raise ContractViolationError(
+                    f"p_{i} p_{j} != sum_k p^k_{i}{j} p_k modulo the minimal polynomial")
 
 
 def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:

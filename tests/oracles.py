@@ -1,7 +1,8 @@
 """Independent reference implementations that the tests compare the library
 against. Each recomputes its quantity from scratch on a different path than
-the library takes (Horner on dense matrices, a per-vertex vector ladder,
-exact traces), so a fault in the library's own path cannot hide in both."""
+the library takes (dense power products ranked on n^2-long rows, Horner on
+dense matrices, a per-vertex vector ladder, exact traces), so a fault in the
+library's own path cannot hide in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,9 +10,51 @@ from fractions import Fraction
 
 from quograph import (ContractViolationError, Graph, GraphInputError,
                       Polynomial, ToleranceError, WalkAlgebra, mat_mul)
-from quograph.exact import (IntMatrix, RatMatrix, RowBasis, combine_powers,
-                            mat_vec, trace)
+from quograph import exact
+from quograph.exact import (IntMatrix, RatMatrix, combine_powers, identity,
+                            mat_vec)
 from quograph.spectral import SpectralDecomposition, Spectrum
+
+
+def all_ones(n: int) -> IntMatrix:
+    return [[1] * n for _ in range(n)]
+
+
+def trace(m) -> int | Fraction:
+    return sum(m[i][i] for i in range(len(m)))
+
+
+class RowBasis(exact.RowBasis):
+    """The library's incremental row basis, with a membership test."""
+
+    def contains(self, row) -> bool:
+        """True iff `row` already lies in the span (does not modify the basis)."""
+        row = list(row)
+        for p in sorted(self._rows):
+            if row[p]:
+                r = self._rows[p]
+                a, b = r[p], row[p]
+                row = [a * x - b * y for x, y in zip(row, r)]
+        return not any(row)
+
+
+def adjacency_power_ladder_reference(g: Graph) -> list[list[list[int]]]:
+    """[I, A, ..., A^d] where d+1 is the adjacency algebra dimension.
+
+    Powers are appended while their vectorizations stay linearly independent
+    over Q; the first dependent power ends the ladder (all higher powers are
+    then dependent too).
+    """
+    a = g.adjacency_matrix()
+    basis = RowBasis()
+    powers = []
+    cur = identity(g.n)
+    while True:
+        vec = [x for row in cur for x in row]
+        if not basis.add(vec):
+            return powers
+        powers.append(cur)
+        cur = mat_mul(cur, a)
 
 
 def eval_poly(p: Polynomial, a: IntMatrix) -> RatMatrix:

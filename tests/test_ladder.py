@@ -1,0 +1,78 @@
+"""The class-level ladder against the dense ladder it replaced, and what the
+pass keeps: the bordered inverse of the basis block and the minimal
+polynomial."""
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from quograph import (Polynomial, WalkAlgebra, adjacency_power_ladder,
+                      build_graph, mat_mul, parse_graph_spec, petersen_graph)
+from quograph.exact import combine_powers
+from quograph.partitions import group_pairs
+
+from oracles import adjacency_power_ladder_reference
+
+
+def test_corpus_ladders_and_partitions_match_reference(small_corpus):
+    for g in small_corpus:
+        want = adjacency_power_ladder_reference(g)
+        assert list(adjacency_power_ladder(g).powers) == want
+        assert WalkAlgebra.of(g).partition == group_pairs(g.n, want)
+
+
+def test_large_ladders_match_reference():
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    for spec in workload_inputs("large", DEFAULT_SEED):
+        g = parse_graph_spec(spec)
+        assert (list(adjacency_power_ladder(g).powers)
+                == adjacency_power_ladder_reference(g)), spec
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on 1..13 vertices, disconnected ones included."""
+    n = draw(st.integers(1, 13))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs())
+def test_random_ladders_match_reference(g):
+    assert (list(adjacency_power_ladder(g).powers)
+            == adjacency_power_ladder_reference(g))
+
+
+def test_bordered_inverse_and_minimal_polynomial(small_corpus):
+    """adj B = det I on the basis block, and mu(A) = 0 exactly on the ladder
+    plus one more power, with mu monic of degree d+1."""
+    for g in small_corpus:
+        alg = WalkAlgebra.of(g)
+        block = [alg.m[k] for k in alg.basis_rows]
+        eye = [[alg.det * (i == j) for j in range(alg.d + 1)]
+               for i in range(alg.d + 1)]
+        assert mat_mul([list(row) for row in alg.adj], block) == eye
+        mu = alg.minimal_polynomial
+        assert mu.degree == alg.d + 1 and mu.coeffs[-1] == 1
+        powers = list(alg.ladder)
+        powers.append(mat_mul(powers[-1], g.adjacency_matrix()))
+        zero = [[0] * g.n for _ in range(g.n)]
+        assert combine_powers(mu.coeffs, powers) == zero
+
+
+def test_petersen_minimal_polynomial():
+    x = Polynomial.of([0, 1])
+    want = ((x + Polynomial.of([-3])) * (x + Polynomial.of([-1]))
+            * (x + Polynomial.of([2])))
+    assert WalkAlgebra.of(petersen_graph()).minimal_polynomial == want
+
+
+def test_ladder_of_single_vertex():
+    lad = adjacency_power_ladder(build_graph(1, []))
+    assert list(lad.powers) == [[[1]]] and len(lad) == 1
+    assert lad.minimal_polynomial == Polynomial.of([0, 1])

@@ -2,8 +2,9 @@
 from quograph import (WalkAlgebra, build_graph, circulant, cycle_graph,
                       decide_quotient_polynomial, mat_mul)
 from quograph.errors import AnalysisError, ContractViolationError
-from quograph.exact import all_ones
 from quograph.schemes import AssociationScheme, build_scheme
+
+from oracles import all_ones
 
 
 def build_scheme_reference(rep, pp) -> AssociationScheme:

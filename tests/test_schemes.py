@@ -9,7 +9,8 @@ from quograph import (PairPartition, WalkAlgebra, analyze, build_graph,
                       is_walk_regular, path_graph, petersen_graph, prism_y6,
                       qp_implies_dp, star_graph)
 from quograph.errors import AnalysisError, ContractViolationError
-from quograph.schemes import AssociationScheme, generates_scheme_check, scheme_via_solve
+from quograph.schemes import (AssociationScheme, generates_scheme_check,
+                              scheme_ring_check, scheme_via_solve)
 
 from worked_examples import Y6_DIST_POLYS
 
@@ -207,3 +208,22 @@ def test_distance_polynomials_solved_once(petersen, monkeypatch):
     rpt = analyze(petersen)
     assert rpt.flags.distance_regular and rpt.flags.distance_polynomial
     assert calls == [3]
+
+
+def test_scheme_ring_check(petersen, circ17):
+    """p_i p_j = sum_k p^k_ij p_k modulo the minimal polynomial holds on QP
+    graphs and fails once one p^k_ij is off by one."""
+    for g in [petersen, circ17, cycle_graph(6), complete_graph(5)]:
+        alg = WalkAlgebra.of(g)
+        rep = decide_quotient_polynomial(alg)
+        scheme_ring_check(alg, rep, build_scheme(rep, rep.partition))
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    s = build_scheme(rep, rep.partition)
+    p = [[list(row) for row in pk] for pk in s.intersection_numbers]
+    p[2][1][3] += 1
+    off_by_one = AssociationScheme(
+        classes=s.classes,
+        intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
+    with pytest.raises(ContractViolationError, match="p_1 p_3"):
+        scheme_ring_check(alg, rep, off_by_one)
