@@ -3,18 +3,15 @@ association schemes generated by quotient-polynomial graphs."""
 
 from .errors import (AnalysisError, ContractViolationError, GraphInputError,
                      QuographError, SizeLimitError, ToleranceError)
-from .exact import Polynomial, frac_str, mat_mul, rank, solve
+from .exact import Polynomial, frac_str, mat_mul, rank
 from .graphs import (DistanceData, Graph, build_graph, circulant,
                      complete_graph, cycle_graph, distance_class_matrix,
                      distances, path_graph, petersen_graph, prism_y6,
                      star_graph)
 from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
                          adjacency_power_ladder, check_regular,
-                         global_partition, is_distance_faithful,
-                         local_partition)
-from .quotient import (QuotientReport, WalkCountMatrices,
-                       decide_quotient_polynomial, intersection_matrix,
-                       per_vertex_consistency, walk_count_matrices)
+                         global_partition, local_partition)
+from .quotient import QuotientReport, decide_quotient_polynomial
 from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,

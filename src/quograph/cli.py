@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -22,12 +23,27 @@ from .spectral import Tolerances
 TOL_ENV_VAR = "QUOGRAPH_TOL"
 
 
+def _tolerance(text: str, source: str) -> float:
+    """A finite, non-negative base tolerance, or GraphInputError naming its
+    source."""
+    try:
+        base = float(text)
+    except ValueError:
+        base = math.nan
+    if not 0 <= base < math.inf:
+        raise GraphInputError(
+            f"{source}: tolerance must be a finite non-negative number, "
+            f"got {text!r}")
+    return base
+
+
 def _tolerances(args) -> Tolerances:
-    base = args.tol
-    if base is None:
-        env = os.environ.get(TOL_ENV_VAR)
-        base = float(env) if env else None
-    return Tolerances.with_base(base) if base is not None else Tolerances()
+    if args.tol is not None:
+        return Tolerances.with_base(_tolerance(args.tol, "--tol"))
+    env = os.environ.get(TOL_ENV_VAR)
+    if env:
+        return Tolerances.with_base(_tolerance(env, TOL_ENV_VAR))
+    return Tolerances()
 
 
 def _options(args) -> AnalysisOptions:
@@ -46,11 +62,15 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True):
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--orbits", action="store_true",
                    help="run the capped automorphism/orbit pass")
-    p.add_argument("--tol", type=float, default=None,
-                   help=f"spectral tolerance (also env {TOL_ENV_VAR})")
+    p.add_argument("--tol", default=None,
+                   help="spectral tolerance, a finite non-negative number "
+                        f"(also env {TOL_ENV_VAR})")
     p.add_argument("--debug-checks", action="store_true",
-                   help="enable redundant witnesses (extended walk vectors, "
-                        "solve-based intersection numbers)")
+                   help="enable redundant witnesses (walk vectors extended "
+                        "to length 2d+1, int64 products J_i J_j against the "
+                        "intersection numbers, p_i p_j = sum_k p^k_ij p_k "
+                        "modulo the minimal polynomial, distance polynomials "
+                        "as sums of quotient polynomials)")
 
 
 def cmd_analyze(args) -> int:

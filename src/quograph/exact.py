@@ -2,9 +2,9 @@
 
 Matrices are plain nested lists; integer matrices hold Python ints (unbounded,
 walk counts grow like k^l), rational ones hold Fractions in lowest terms.
-Every classification decision in the package runs through this module, or
-through the Python-int ladder pass in partitions.py, so that it is a yes/no
-fact, never a tolerance call.
+This module holds the exact kernels (products, rank, polynomials) that the
+classification decisions use next to the Python-int ladder pass and the
+integer inverse in partitions.py; no decision is a tolerance call.
 """
 from __future__ import annotations
 
@@ -33,10 +33,6 @@ def mat_mul(a, b):
             f"dimension mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 class RowBasis:
@@ -97,63 +93,6 @@ def rank(m) -> int:
     for row in _int_rows(m):
         basis.add(row)
     return basis.rank
-
-
-def solve(a, b):
-    """Exact solve of a X = b over Q; None when the system is inconsistent.
-
-    Underdetermined systems get the canonical solution with free variables
-    set to zero. `a` is rows x cols, `b` is rows x k; result is cols x k.
-    """
-    rows, cols = len(a), len(a[0])
-    if len(b) != rows:
-        raise GraphInputError("solve: right-hand side row count mismatch")
-    k = len(b[0])
-    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]]
-           for i in range(rows)]
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    pr = 0
-    for pc in range(cols):
-        # pivot by largest |numerator| among candidates to limit growth
-        best, best_key = -1, None
-        for i in range(pr, rows):
-            x = aug[i][pc]
-            if x:
-                key = abs(x.numerator)
-                if best_key is None or key > best_key:
-                    best, best_key = i, key
-        if best < 0:
-            continue
-        aug[pr], aug[best] = aug[best], aug[pr]
-        piv = aug[pr][pc]
-        for i in range(rows):
-            if i != pr and aug[i][pc]:
-                f = aug[i][pc] / piv
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
-        pivots.append((pr, pc))
-        pr += 1
-        if pr == rows:
-            break
-    # consistency: zero coefficient rows must have zero rhs
-    for i in range(pr, rows):
-        if any(aug[i][cols:]):
-            return None
-    x = [[Fraction(0)] * k for _ in range(cols)]
-    for r, c in pivots:
-        piv = aug[r][c]
-        for j in range(k):
-            x[c][j] = aug[r][cols + j] / piv
-    return x
-
-
-def is_nonneg_int_matrix(m) -> bool:
-    return all(
-        (isinstance(x, int) or x.denominator == 1) and x >= 0
-        for row in m for x in row)
-
-
-def to_int_matrix(m) -> IntMatrix:
-    return [[int(x) for x in row] for row in m]
 
 
 # --- polynomials ----------------------------------------------------------

@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import ContractViolationError
 from .exact import Polynomial, identity
-from .graphs import DistanceData, Graph, distance_class_matrix, require_connected
+from .graphs import DistanceData, Graph, require_connected
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,6 @@ class PairPartition:
     def class_distance(self, i: int) -> int:
         return _first_nonzero(self.class_walk_vectors[i])
 
-    def class_matrix(self, i: int) -> list[list[int]]:
-        m = [[0] * self.n for _ in range(self.n)]
-        for u, v in self.classes[i]:
-            m[u][v] = 1
-        return m
-
     def as_setpartition(self) -> frozenset[frozenset[tuple[int, int]]]:
         return frozenset(frozenset(c) for c in self.classes)
 
@@ -220,11 +214,23 @@ class WalkAlgebra:
     @cached_property
     def distance_polynomials(self) -> tuple[Polynomial, ...] | None:
         """The D+1 polynomials p_i with p_i(A) = A_i, the distance-i matrix,
-        or None when some A_i lies outside A(Gamma); solved once per graph."""
-        polys = self.membership(
-            [distance_class_matrix(self.g, i, self.dd)
-             for i in range(self.dd.diameter + 1)])
+        or None when some A_i lies outside A(Gamma); computed once per graph.
+        The walk vector fixes the distance, so A_i is 1 on the classes at
+        distance i and 0 on the others."""
+        pp = self.partition
+        dist = [pp.class_distance(k) for k in range(pp.r + 1)]
+        polys = self.class_polynomials(
+            [[int(x == i) for x in dist] for i in range(self.dd.diameter + 1)])
         return None if polys is None else tuple(polys)
+
+    @cached_property
+    def integral_minimal_polynomial(self) -> tuple[int, ...]:
+        """The coefficients of the minimal polynomial, ascending, as ints:
+        mu is monic and integral, A being an integer matrix (checked)."""
+        mu = self.minimal_polynomial.coeffs
+        if any(c.denominator != 1 for c in mu):
+            raise ContractViolationError("minimal polynomial is not integral")
+        return tuple(int(c) for c in mu)
 
     def membership(self, targets) -> list[Polynomial] | None:
         """The polynomials p with p(A) = T and deg p <= d, one per n x n
@@ -283,12 +289,6 @@ class LocalPartition:
     def r(self) -> int:
         return len(self.cells) - 1
 
-    def characteristic_vector(self, i: int, n: int) -> list[int]:
-        chi = [0] * n
-        for v in self.cells[i]:
-            chi[v] = 1
-        return chi
-
 
 def local_partition(pp: PairPartition, u: int) -> LocalPartition:
     """Cells in class order, vertices ascending; one row of the pair index."""
@@ -298,12 +298,6 @@ def local_partition(pp: PairPartition, u: int) -> LocalPartition:
     ids = sorted(cells)
     return LocalPartition(center=u, cells=tuple(tuple(cells[i]) for i in ids),
                           class_ids=tuple(ids))
-
-
-def is_distance_faithful(lp: LocalPartition, dd: DistanceData) -> bool:
-    """True iff every cell is distance-homogeneous from the center."""
-    du = dd.dist[lp.center]
-    return all(len({du[v] for v in cell}) == 1 for cell in lp.cells)
 
 
 def check_regular(g: Graph, lp: LocalPartition):

@@ -1,4 +1,4 @@
-"""Quotient-polynomial decision, quotient polynomials, and the W/W+ machinery.
+"""Quotient-polynomial decision, quotient polynomials, W, W+ and B.
 
 A connected graph with d+1 distinct eigenvalues and r+1 walk classes is
 quotient-polynomial exactly when r = d; the class matrices then lie in the
@@ -8,55 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AnalysisError, ContractViolationError
-from .exact import (Polynomial, identity, is_nonneg_int_matrix, mat_mul,
-                    mat_vec, rank, solve, to_int_matrix, transpose)
-from .graphs import Graph
-from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
-                         check_regular, group_pairs, local_partition)
-
-
-@dataclass(frozen=True)
-class WalkCountMatrices:
-    """W and W+ around a vertex: (W)_{li} = a_i^(l), (W+)_{li} = a_i^(l+1)."""
-
-    center: int
-    w: list
-    w_plus: list
-
-
-def walk_count_matrices(g: Graph, u: int, lp: LocalPartition) -> WalkCountMatrices:
-    """Exact walk-count matrices of a walk-regular local partition."""
-    a = g.adjacency_matrix()
-    r = lp.r
-    vec = [1 if v == u else 0 for v in range(g.n)]
-    rows = []
-    for _ in range(r + 2):
-        row = []
-        for cell in lp.cells:
-            vals = {vec[v] for v in cell}
-            if len(vals) != 1:
-                raise ContractViolationError(
-                    f"cell {cell} around {u} is not walk-homogeneous")
-            row.append(vals.pop())
-        rows.append(row)
-        vec = mat_vec(a, vec)
-    w = rows[: r + 1]
-    w_plus = rows[1: r + 2]
-    return WalkCountMatrices(center=u, w=w, w_plus=w_plus)
-
-
-def intersection_matrix(wm: WalkCountMatrices) -> list:
-    """B from W B^T = W+; entries must come out as non-negative integers."""
-    m = len(wm.w)
-    if rank(wm.w) < m:
-        raise AnalysisError(
-            f"W is singular: partition around {wm.center} is not quotient-polynomial")
-    bt = solve(wm.w, wm.w_plus)
-    if bt is None or not is_nonneg_int_matrix(bt):
-        raise ContractViolationError(
-            "W^-1 W+ is not a non-negative integer matrix; this should be unreachable")
-    return to_int_matrix(transpose(bt))
+from .errors import ContractViolationError
+from .exact import Polynomial, identity, mat_mul, rank, transpose
+from .partitions import (PairPartition, WalkAlgebra, check_regular,
+                         group_pairs, local_partition)
 
 
 @dataclass
@@ -108,46 +63,28 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     if not alg.satisfies(hoffman, [1] * (r + 1)):  # H(A) = J
         raise ContractViolationError("Hoffman polynomial does not satisfy H(A) = J")
 
+    # W is M^T on the classes at vertex 0; all r+1 meet it on a QP graph
     lp0 = local_partition(pp, 0)
-    wm = walk_count_matrices(g, 0, lp0)
-    b = intersection_matrix(wm)
-    if check_regular(g, lp0) != b:
+    if lp0.class_ids != tuple(range(r + 1)):
+        raise ContractViolationError("some class misses vertex 0 on a QP graph")
+    w = [list(col) for col in zip(*alg.m)]
+    # W+ drops row 0 and adds a^(d+1) = -sum_{j<=d} mu_j a^(j), since mu(A) = 0
+    mu = alg.integral_minimal_polynomial
+    w_plus = w[1:] + [[-sum(c * x for c, x in zip(mu, col)) for col in alg.m]]
+    # W = M^T is nonsingular (r = d and M has rank d+1), so W B^T = W+ for the
+    # neighbour count B says B^T = W^-1 W+ and that it is a non-negative
+    # integer matrix
+    b = check_regular(g, lp0)
+    if b is None or mat_mul(w, transpose(b)) != w_plus:
         raise ContractViolationError(
             "W^-1 W+ disagrees with direct neighbor counting")
 
     rep.polynomials = tuple(polys)
     rep.hoffman = hoffman
     rep.intersection_b = b
-    rep.walk_matrix = wm.w
-    rep.walk_matrix_plus = wm.w_plus
+    rep.walk_matrix = w
+    rep.walk_matrix_plus = w_plus
     return rep
-
-
-def per_vertex_consistency(alg: WalkAlgebra, rep: QuotientReport) -> bool:
-    """Theorem check: every vertex induces the same polynomials and B."""
-    if not rep.is_quotient_polynomial:
-        raise AnalysisError("per-vertex consistency applies to QP graphs only")
-    g = alg.g
-    a = g.adjacency_matrix()
-    # A^l e_u columns, reused for every polynomial
-    for u in range(g.n):
-        lp = local_partition(rep.partition, u)
-        if lp.class_ids != tuple(range(rep.r + 1)):
-            return False  # some class misses u; QP forbids empty cells
-        cols = []
-        vec = [1 if v == u else 0 for v in range(g.n)]
-        for _ in range(rep.d + 1):
-            cols.append(vec)
-            vec = mat_vec(a, vec)
-        for i, p in enumerate(rep.polynomials):
-            chi = lp.characteristic_vector(i, g.n)
-            got = [sum(c * col[v] for c, col in zip(p.coeffs, cols))
-                   for v in range(g.n)]
-            if got != chi:
-                return False
-        if check_regular(g, lp) != rep.intersection_b:
-            return False
-    return True
 
 
 def extended_partition_stable(alg: WalkAlgebra) -> bool:

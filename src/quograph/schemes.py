@@ -13,7 +13,7 @@ from math import lcm
 import numpy as np
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
-from .exact import Polynomial, RowBasis, combine_powers
+from .exact import Polynomial, combine_powers, rank
 from .graphs import distance_class_matrix
 from .partitions import PairPartition, WalkAlgebra
 from .quotient import QuotientReport
@@ -150,9 +150,10 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
     """Debug witness: the classes are the J-basis and every product J_i J_j
     is sum_k p^k_ij J_k.
 
-    Solving J_i J_j = sum_k x_k J_k on the n^2 rows [J_0(u,v), ..., J_d(u,v)]
-    succeeds exactly when this holds: once the 0/1 classes sum to J every row
-    is a unit vector, so x_k is J_i J_j read at any pair of class k. The
+    The linear system J_i J_j = sum_k x_k J_k on the n^2 rows
+    [J_0(u,v), ..., J_d(u,v)] has a solution exactly when this holds: once
+    the 0/1 classes sum to J every row is a unit vector, so x_k is J_i J_j
+    read at any pair of class k. The
     products are dense int64 matrix products (entries are at most n), an
     algorithm independent of the pair count in `build_scheme`.
     """
@@ -178,10 +179,8 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
     the int64 products. It runs on c p_k, integral for c the common
     denominator; mu is monic and integral, A being an integer matrix.
     """
-    mu = alg.minimal_polynomial.coeffs
-    if any(c.denominator != 1 for c in mu):
-        raise ContractViolationError("minimal polynomial is not integral")
-    mu, deg = [int(c) for c in mu], len(mu) - 1
+    mu = alg.integral_minimal_polynomial
+    deg = len(mu) - 1
     den = lcm(*(c.denominator for q in rep.polynomials for c in q.coeffs))
     polys = [[int(c * den) for c in q.coeffs] + [0] * (deg - len(q.coeffs))
              for q in rep.polynomials]
@@ -204,16 +203,12 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
 
 
 def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
-    """True iff vec(A^0..A^d) spans the same rational row space as the
-    vectorized scheme classes. The d+1 powers are independent (the ladder
-    stops at the first dependent one)."""
-    scheme_basis = RowBasis()
-    combined = RowBasis()
-    for p in alg.ladder:
-        combined.add([x for row in p for x in row])
-    for m in scheme.classes:
-        vec = [x for row in m for x in row]
-        scheme_basis.add(vec)
-        combined.add(vec)
-    # equal spans iff neither side adds anything to the other
-    return alg.d + 1 == scheme_basis.rank == combined.rank
+    """True iff the scheme classes span A(Gamma): each lies in A(Gamma), and
+    their polynomials, padded to degree d, have rank d+1. That is equal
+    spans, because p -> p(A) is injective on polynomials of degree <= d."""
+    polys = alg.membership(scheme.classes)
+    if polys is None:
+        return False
+    width = alg.d + 1
+    return rank([list(p.coeffs) + [0] * (width - len(p.coeffs))
+                 for p in polys]) == width

@@ -1,18 +1,24 @@
 """Independent reference implementations that the tests compare the library
 against. Each recomputes its quantity from scratch on a different path than
 the library takes (dense power products ranked on n^2-long rows, Horner on
-dense matrices, a per-vertex vector ladder, exact traces), so a fault in the
-library's own path cannot hide in both."""
+dense matrices, a per-vertex vector ladder, a Fraction Gauss-Jordan solve of
+W B^T = W+, exact traces), so a fault in the library's own path cannot hide
+in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from quograph import (ContractViolationError, Graph, GraphInputError,
-                      Polynomial, ToleranceError, WalkAlgebra, mat_mul)
+from quograph import (AnalysisError, ContractViolationError, Graph,
+                      GraphInputError, Polynomial, ToleranceError, WalkAlgebra,
+                      check_regular, local_partition, mat_mul, rank)
 from quograph import exact
 from quograph.exact import (IntMatrix, RatMatrix, combine_powers, identity,
-                            mat_vec)
+                            transpose)
+from quograph.graphs import DistanceData
+from quograph.partitions import LocalPartition, PairPartition
+from quograph.quotient import QuotientReport
+from quograph.schemes import AssociationScheme
 from quograph.spectral import SpectralDecomposition, Spectrum
 
 
@@ -22,6 +28,67 @@ def all_ones(n: int) -> IntMatrix:
 
 def trace(m) -> int | Fraction:
     return sum(m[i][i] for i in range(len(m)))
+
+
+def mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+def solve(a, b):
+    """Exact solve of a X = b over Q; None when the system is inconsistent.
+
+    Underdetermined systems get the canonical solution with free variables
+    set to zero. `a` is rows x cols, `b` is rows x k; result is cols x k.
+    """
+    rows, cols = len(a), len(a[0])
+    if len(b) != rows:
+        raise GraphInputError("solve: right-hand side row count mismatch")
+    k = len(b[0])
+    aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]]
+           for i in range(rows)]
+    pivots: list[tuple[int, int]] = []  # (row, col)
+    pr = 0
+    for pc in range(cols):
+        # pivot by largest |numerator| among candidates to limit growth
+        best, best_key = -1, None
+        for i in range(pr, rows):
+            x = aug[i][pc]
+            if x:
+                key = abs(x.numerator)
+                if best_key is None or key > best_key:
+                    best, best_key = i, key
+        if best < 0:
+            continue
+        aug[pr], aug[best] = aug[best], aug[pr]
+        piv = aug[pr][pc]
+        for i in range(rows):
+            if i != pr and aug[i][pc]:
+                f = aug[i][pc] / piv
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[pr])]
+        pivots.append((pr, pc))
+        pr += 1
+        if pr == rows:
+            break
+    # consistency: zero coefficient rows must have zero rhs
+    for i in range(pr, rows):
+        if any(aug[i][cols:]):
+            return None
+    x = [[Fraction(0)] * k for _ in range(cols)]
+    for r, c in pivots:
+        piv = aug[r][c]
+        for j in range(k):
+            x[c][j] = aug[r][cols + j] / piv
+    return x
+
+
+def is_nonneg_int_matrix(m) -> bool:
+    return all(
+        (isinstance(x, int) or x.denominator == 1) and x >= 0
+        for row in m for x in row)
+
+
+def to_int_matrix(m) -> IntMatrix:
+    return [[int(x) for x in row] for row in m]
 
 
 class RowBasis(exact.RowBasis):
@@ -132,3 +199,110 @@ def b_via_trace(alg: WalkAlgebra, polys, i: int, j: int) -> float:
             "class matrix V_j is zero; classes are nonempty by construction")
     num = trace(mat_mul(mat_mul(a, vi), vj))
     return float(Fraction(num) / Fraction(denom))
+
+
+def class_matrix(pp: PairPartition, i: int) -> list[list[int]]:
+    m = [[0] * pp.n for _ in range(pp.n)]
+    for u, v in pp.classes[i]:
+        m[u][v] = 1
+    return m
+
+
+def characteristic_vector(lp: LocalPartition, i: int, n: int) -> list[int]:
+    chi = [0] * n
+    for v in lp.cells[i]:
+        chi[v] = 1
+    return chi
+
+
+def is_distance_faithful(lp: LocalPartition, dd: DistanceData) -> bool:
+    """True iff every cell is distance-homogeneous from the center."""
+    du = dd.dist[lp.center]
+    return all(len({du[v] for v in cell}) == 1 for cell in lp.cells)
+
+
+@dataclass(frozen=True)
+class WalkCountMatrices:
+    """W and W+ around a vertex: (W)_{li} = a_i^(l), (W+)_{li} = a_i^(l+1)."""
+
+    center: int
+    w: list
+    w_plus: list
+
+
+def walk_count_matrices(g: Graph, u: int, lp: LocalPartition) -> WalkCountMatrices:
+    """Exact walk-count matrices of a walk-regular local partition."""
+    a = g.adjacency_matrix()
+    r = lp.r
+    vec = [1 if v == u else 0 for v in range(g.n)]
+    rows = []
+    for _ in range(r + 2):
+        row = []
+        for cell in lp.cells:
+            vals = {vec[v] for v in cell}
+            if len(vals) != 1:
+                raise ContractViolationError(
+                    f"cell {cell} around {u} is not walk-homogeneous")
+            row.append(vals.pop())
+        rows.append(row)
+        vec = mat_vec(a, vec)
+    w = rows[: r + 1]
+    w_plus = rows[1: r + 2]
+    return WalkCountMatrices(center=u, w=w, w_plus=w_plus)
+
+
+def intersection_matrix(wm: WalkCountMatrices) -> list:
+    """B from W B^T = W+; entries must come out as non-negative integers."""
+    m = len(wm.w)
+    if rank(wm.w) < m:
+        raise AnalysisError(
+            f"W is singular: partition around {wm.center} is not quotient-polynomial")
+    bt = solve(wm.w, wm.w_plus)
+    if bt is None or not is_nonneg_int_matrix(bt):
+        raise ContractViolationError(
+            "W^-1 W+ is not a non-negative integer matrix; this should be unreachable")
+    return to_int_matrix(transpose(bt))
+
+
+def per_vertex_consistency(alg: WalkAlgebra, rep: QuotientReport) -> bool:
+    """Theorem check: every vertex induces the same polynomials and B."""
+    if not rep.is_quotient_polynomial:
+        raise AnalysisError("per-vertex consistency applies to QP graphs only")
+    g = alg.g
+    a = g.adjacency_matrix()
+    # A^l e_u columns, reused for every polynomial
+    for u in range(g.n):
+        lp = local_partition(rep.partition, u)
+        if lp.class_ids != tuple(range(rep.r + 1)):
+            return False  # some class misses u; QP forbids empty cells
+        cols = []
+        vec = [1 if v == u else 0 for v in range(g.n)]
+        for _ in range(rep.d + 1):
+            cols.append(vec)
+            vec = mat_vec(a, vec)
+        for i, p in enumerate(rep.polynomials):
+            chi = characteristic_vector(lp, i, g.n)
+            got = [sum(c * col[v] for c, col in zip(p.coeffs, cols))
+                   for v in range(g.n)]
+            if got != chi:
+                return False
+        if check_regular(g, lp) != rep.intersection_b:
+            return False
+    return True
+
+
+def generates_scheme_check_reference(scheme: AssociationScheme,
+                                     alg: WalkAlgebra) -> bool:
+    """True iff vec(A^0..A^d) spans the same rational row space as the
+    vectorized scheme classes. The d+1 powers are independent (the ladder
+    stops at the first dependent one)."""
+    scheme_basis = RowBasis()
+    combined = RowBasis()
+    for p in alg.ladder:
+        combined.add([x for row in p for x in row])
+    for m in scheme.classes:
+        vec = [x for row in m for x in row]
+        scheme_basis.add(vec)
+        combined.add(vec)
+    # equal spans iff neither side adds anything to the other
+    return alg.d + 1 == scheme_basis.rank == combined.rank

@@ -9,13 +9,14 @@ from fractions import Fraction
 
 from quograph import (WalkAlgebra, analyze, automorphisms,
                       decide_quotient_polynomial, distances,
-                      is_distance_faithful, is_orbit_polynomial,
+                      is_orbit_polynomial,
                       local_partition, orbit_partition, parse_edge_list,
                       parse_graph_spec, petersen_graph,
                       spectral_decomposition)
 from quograph.exact import transpose
 
-from oracles import b_via_trace, eval_poly, graph_scalar_product
+from oracles import (b_via_trace, eval_poly, graph_scalar_product,
+                     is_distance_faithful, per_vertex_consistency)
 from test_schemes import brute_intersection_numbers
 from worked_examples import (CIRC17_B, CIRC17_BT, CIRC17_EIGS, CIRC17_POLYS,
                              CIRC17_W, CIRC17_W_PLUS, Y6_A1, Y6_A4,
@@ -124,7 +125,7 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
                                            rep.polynomials[i],
                                            rep.polynomials[j])
                 assert abs(val) < 1e-9
-        from quograph import per_vertex_consistency, qp_implies_dp
+        from quograph import qp_implies_dp
         assert per_vertex_consistency(alg, rep)
         assert rpt.scheme is not None                       # axioms verified
         qp_implies_dp(alg, rep)                             # raises on failure

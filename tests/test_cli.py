@@ -156,9 +156,21 @@ def test_tol_env_var(capsys, monkeypatch):
     monkeypatch.setenv("QUOGRAPH_TOL", "1e-7")
     code, _, _ = run(capsys, "analyze", "name:petersen")
     assert code == 0
-    monkeypatch.setenv("QUOGRAPH_TOL", "not-a-float")
-    with pytest.raises(ValueError):
-        run(capsys, "analyze", "name:petersen")
+    for bad in ["not-a-float", "nan", "-1", "inf"]:
+        monkeypatch.setenv("QUOGRAPH_TOL", bad)
+        code, out, err = run(capsys, "analyze", "name:petersen")
+        assert code == 1 and out == ""
+        assert ("QUOGRAPH_TOL: tolerance must be a finite non-negative "
+                f"number, got {bad!r}") in err
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "-1", "inf"])
+def test_tol_flag_rejects_malformed(capsys, monkeypatch, bad):
+    monkeypatch.delenv("QUOGRAPH_TOL", raising=False)
+    code, out, err = run(capsys, "analyze", "name:petersen", "--tol", bad)
+    assert code == 1 and out == ""
+    assert ("--tol: tolerance must be a finite non-negative number, "
+            f"got {bad!r}") in err
 
 
 def test_debug_checks_flag(capsys):

@@ -3,11 +3,11 @@ import numpy as np
 
 from quograph import (WalkAlgebra, adjacency_power_ladder, build_graph,
                       check_regular, circulant, complete_graph, cycle_graph,
-                      distances, global_partition, is_distance_faithful,
-                      local_partition, path_graph, prism_y6)
+                      distances, global_partition, local_partition,
+                      path_graph, prism_y6)
 from quograph.partitions import LocalPartition
 
-from oracles import walk_vectors
+from oracles import class_matrix, is_distance_faithful, walk_vectors
 from worked_examples import CIRC17_B, CIRC17_CELLS
 
 
@@ -57,7 +57,7 @@ def test_class_matrices_sum_to_j_and_are_symmetric(circ17):
     n = pp.n
     total = [[0] * n for _ in range(n)]
     for i in range(pp.r + 1):
-        m = pp.class_matrix(i)
+        m = class_matrix(pp, i)
         assert m == [list(col) for col in zip(*m)]
         for u in range(n):
             for v in range(n):

@@ -1,16 +1,20 @@
 """Quotient-polynomial decision, polynomial recovery, and W/W+ machinery."""
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from quograph import (Polynomial, WalkAlgebra, build_graph, circulant,
+from quograph import (Polynomial, WalkAlgebra, analyze, build_graph, circulant,
                       complete_graph, cycle_graph, decide_quotient_polynomial,
-                      global_partition, intersection_matrix, local_partition,
-                      path_graph, per_vertex_consistency, petersen_graph,
-                      prism_y6, walk_count_matrices)
-from quograph.errors import AnalysisError
+                      global_partition, local_partition, parse_graph_spec,
+                      path_graph, petersen_graph, prism_y6, quotient)
+from quograph.errors import AnalysisError, ContractViolationError
+from quograph.schemes import AssociationScheme, generates_scheme_check
 
-from oracles import eval_poly, local_dimension
+from oracles import (class_matrix, eval_poly, generates_scheme_check_reference,
+                     intersection_matrix, local_dimension,
+                     per_vertex_consistency, walk_count_matrices)
 from worked_examples import (CIRC17_B, CIRC17_POLYS, CIRC17_W, CIRC17_W_PLUS)
 
 
@@ -103,19 +107,72 @@ def test_intersection_matrix_singular_w(y6):
         intersection_matrix(wm)
 
 
+def test_readoff_matches_oracles(small_corpus, corpus_reports):
+    """W, W+ and B read off the class walk matrix, mu and the neighbour
+    count equal the per-vertex walk ladder and the Fraction solve of
+    W B^T = W+; scheme generation read as a membership question equals the
+    n^2-row span test, also on a scheme with two classes merged, which lies
+    in A(Gamma) but spans too little. Runs on the QP graphs of the corpus
+    and of the `large` benchmark inputs."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    pairs = list(zip(small_corpus, corpus_reports[0]))
+    for spec in workload_inputs("large", DEFAULT_SEED):
+        g = parse_graph_spec(spec)
+        pairs.append((g, analyze(g)))
+    checked = []
+    for g, rpt in pairs:
+        rep = rpt.quotient
+        if not (rep and rep.is_quotient_polynomial):
+            continue
+        wm = walk_count_matrices(g, 0, local_partition(rep.partition, 0))
+        assert rep.walk_matrix == wm.w
+        assert rep.walk_matrix_plus == wm.w_plus
+        assert rep.intersection_b == intersection_matrix(wm)
+        alg = WalkAlgebra.of(g)
+        assert rpt.scheme_generates is True
+        assert generates_scheme_check_reference(rpt.scheme, alg) is True
+        if rep.d > 1:
+            *rest, a, b = rpt.scheme.classes
+            merged = AssociationScheme(
+                classes=(*rest, [[x + y for x, y in zip(ra, rb)]
+                                 for ra, rb in zip(a, b)]),
+                intersection_numbers=())
+            assert generates_scheme_check(merged, alg) is False
+            assert generates_scheme_check_reference(merged, alg) is False
+        checked.append((g.n, rep.d))
+    assert (128, 7) in checked and (41, 20) in checked  # Q7 and cycle:41
+    assert len(checked) == 17  # 15 from the corpus
+
+
+def test_readoff_rejects_wrong_neighbour_count(circ17, monkeypatch):
+    """B must satisfy W B^T = W+; one count off by one is a broken theorem."""
+    check_regular = quotient.check_regular
+
+    def off_by_one(g, lp):
+        b = check_regular(g, lp)
+        b[1][2] += 1
+        return b
+
+    monkeypatch.setattr(quotient, "check_regular", off_by_one)
+    with pytest.raises(ContractViolationError, match="neighbor counting"):
+        decide(circ17)
+
+
 def test_algebra_membership(circ17, y6):
     alg = WalkAlgebra.of(circ17)
     pp = alg.partition
-    polys = alg.membership([pp.class_matrix(i) for i in range(pp.r + 1)])
+    polys = alg.membership([class_matrix(pp, i) for i in range(pp.r + 1)])
     assert [list(p.coeffs) for p in polys] == CIRC17_POLYS
     outside = [[1 if (u, v) == (0, 1) or (u, v) == (1, 0) else 0
                 for v in range(17)] for u in range(17)]
     assert alg.membership([outside]) is None          # splits a walk class
-    assert alg.membership([pp.class_matrix(1), outside]) is None
+    assert alg.membership([class_matrix(pp, 1), outside]) is None
     # r = d + 1 on Y6: some class matrix is constant on every class yet
     # lies outside the column space of the class walk matrix
     alg = WalkAlgebra.of(y6)
-    outside = [alg.membership([alg.partition.class_matrix(i)])
+    outside = [alg.membership([class_matrix(alg.partition, i)])
                for i in range(alg.partition.r + 1)]
     assert None in outside and outside.count(None) < len(outside)
 
@@ -137,4 +194,4 @@ def test_polynomials_satisfy_p_of_a_equals_class_matrix(circ17):
     rep = decide(circ17)
     a = circ17.adjacency_matrix()
     for i, p in enumerate(rep.polynomials):
-        assert eval_poly(p, a) == rep.partition.class_matrix(i)
+        assert eval_poly(p, a) == class_matrix(rep.partition, i)

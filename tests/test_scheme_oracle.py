@@ -4,7 +4,7 @@ from quograph import (WalkAlgebra, build_graph, circulant, cycle_graph,
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import AssociationScheme, build_scheme
 
-from oracles import all_ones
+from oracles import all_ones, class_matrix
 
 
 def build_scheme_reference(rep, pp) -> AssociationScheme:
@@ -14,7 +14,7 @@ def build_scheme_reference(rep, pp) -> AssociationScheme:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
     n = pp.n
     d = pp.r
-    mats = [pp.class_matrix(i) for i in range(d + 1)]
+    mats = [class_matrix(pp, i) for i in range(d + 1)]
     if mats[0] != [[1 if i == j else 0 for j in range(n)] for i in range(n)]:
         raise ContractViolationError("J_0 != I on a QP graph")
     total = [[sum(m[u][v] for m in mats) for v in range(n)] for u in range(n)]

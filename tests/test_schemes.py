@@ -1,4 +1,6 @@
 """Classifiers and the generated association scheme."""
+import sys
+
 import pytest
 
 from quograph import (PairPartition, WalkAlgebra, analyze, build_graph,
@@ -198,16 +200,21 @@ def test_scheme_via_solve_rejects_wrong_scheme(petersen):
 
 
 def test_distance_polynomials_solved_once(petersen, monkeypatch):
-    """With D = d the distance and Delsarte tests share one membership
-    solve."""
-    calls = []
-    membership = WalkAlgebra.membership
-    monkeypatch.setattr(WalkAlgebra, "membership",
-                        lambda alg, targets: calls.append(len(targets))
-                        or membership(alg, targets))
+    """With D = d the distance and Delsarte tests share one distance solve.
+    Petersen's distance columns equal its class columns, so each
+    class_polynomials call is told apart by the function that makes it."""
+    callers = []
+    class_polynomials = WalkAlgebra.class_polynomials
+
+    def counted(alg, columns):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return class_polynomials(alg, columns)
+
+    monkeypatch.setattr(WalkAlgebra, "class_polynomials", counted)
     rpt = analyze(petersen)
     assert rpt.flags.distance_regular and rpt.flags.distance_polynomial
-    assert calls == [3]
+    assert sorted(callers) == [
+        "decide_quotient_polynomial", "distance_polynomials", "membership"]
 
 
 def test_scheme_ring_check(petersen, circ17):
