@@ -18,8 +18,8 @@ from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       is_walk_regular, qp_implies_dp)
 from .spectral import (SpectralDecomposition, Spectrum, Tolerances,
                        spectral_decomposition, spectrum_partition)
-from .orbits import (OrbitPartition, automorphisms, is_orbit_polynomial,
-                     orbit_partition)
+from .orbits import (AutomorphismGroup, OrbitPartition, automorphisms,
+                     is_orbit_polynomial, orbit_partition)
 from .formats import (parse_circulant, parse_edge_list, parse_graph6,
                       parse_graph_spec)
 from .report import (AnalysisOptions, Report, analyze, census,

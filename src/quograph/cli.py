@@ -61,7 +61,8 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True):
             "| file:<path> | path to an edge list"))
     p.add_argument("--format", choices=["json", "text"], default="text")
     p.add_argument("--orbits", action="store_true",
-                   help="run the capped automorphism/orbit pass")
+                   help="run the automorphism/orbit pass (graphs with at "
+                        "most 10 vertices)")
     p.add_argument("--tol", default=None,
                    help="spectral tolerance, a finite non-negative number "
                         f"(also env {TOL_ENV_VAR})")
@@ -70,7 +71,9 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True):
                         "to length 2d+1, int64 products J_i J_j against the "
                         "intersection numbers, p_i p_j = sum_k p^k_ij p_k "
                         "modulo the minimal polynomial, distance polynomials "
-                        "as sums of quotient polynomials)")
+                        "as sums of quotient polynomials, and with --orbits "
+                        "the orbit count against membership of every orbit "
+                        "matrix)")
 
 
 def cmd_analyze(args) -> int:

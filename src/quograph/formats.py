@@ -53,6 +53,22 @@ def parse_graph6(line: str) -> Graph:
     return build_graph(n, edges)
 
 
+def to_graph6(g: Graph) -> str:
+    """The graph6 line of g, without header; `parse_graph6` inverts it."""
+    n = g.n
+    if n <= 62:
+        data = [n]
+    elif n <= 258047:
+        data = [63] + [(n >> s) & 63 for s in (12, 6, 0)]
+    else:
+        data = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = [int(u in g.neighbors[v]) for v in range(1, n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    for i in range(0, len(bits), 6):
+        data.append(int("".join(map(str, bits[i:i + 6])), 2))
+    return "".join(chr(63 + x) for x in data)
+
+
 def parse_circulant(desc: str) -> Graph:
     """Parse "circulant:<n>:<s1>,<s2>,..."."""
     parts = desc.split(":")

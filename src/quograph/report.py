@@ -17,7 +17,8 @@ from .errors import (AnalysisError, ContractViolationError, SizeLimitError,
                      ToleranceError)
 from .exact import Polynomial, frac_str, parse_frac, poly_to_text
 from .graphs import Graph
-from .orbits import automorphisms, is_orbit_polynomial, orbit_partition
+from .orbits import (automorphisms, is_orbit_polynomial,
+                     orbit_membership_check, orbit_partition)
 from .partitions import PairPartition, WalkAlgebra
 from .quotient import (QuotientReport, decide_quotient_polynomial,
                        extended_partition_stable)
@@ -113,11 +114,13 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
 
     if options.orbits:
         try:
-            auts = automorphisms(g)
-            op = orbit_partition(auts, g.n)
+            group = automorphisms(g)
+            op = orbit_partition(group, g.n)
             flags.orbit_polynomial = is_orbit_polynomial(alg, op)
+            if options.debug_checks:
+                orbit_membership_check(alg, op)  # raises on failure
             report.orbit = OrbitResult(
-                num_automorphisms=len(auts),
+                num_automorphisms=group.order,
                 num_orbits=len(op.orbits),
                 orbit_polynomial=flags.orbit_polynomial,
             )

@@ -2,20 +2,23 @@
 against. Each recomputes its quantity from scratch on a different path than
 the library takes (dense power products ranked on n^2-long rows, Horner on
 dense matrices, a per-vertex vector ladder, a Fraction Gauss-Jordan solve of
-W B^T = W+, exact traces), so a fault in the library's own path cannot hide
-in both."""
+W B^T = W+, exact traces, every automorphism listed one by one), so a fault
+in the library's own path cannot hide in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from quograph import (AnalysisError, ContractViolationError, Graph,
-                      GraphInputError, Polynomial, ToleranceError, WalkAlgebra,
-                      check_regular, local_partition, mat_mul, rank)
+                      GraphInputError, OrbitPartition, Polynomial,
+                      SizeLimitError, ToleranceError, WalkAlgebra,
+                      check_regular, distances, local_partition, mat_mul,
+                      rank)
 from quograph import exact
 from quograph.exact import (IntMatrix, RatMatrix, combine_powers, identity,
                             transpose)
 from quograph.graphs import DistanceData
+from quograph.orbits import DEFAULT_VERTEX_CAP
 from quograph.partitions import LocalPartition, PairPartition
 from quograph.quotient import QuotientReport
 from quograph.schemes import AssociationScheme
@@ -306,3 +309,68 @@ def generates_scheme_check_reference(scheme: AssociationScheme,
         combined.add(vec)
     # equal spans iff neither side adds anything to the other
     return alg.d + 1 == scheme_basis.rank == combined.rank
+
+
+def all_automorphisms(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> list[tuple[int, ...]]:
+    """All adjacency-preserving permutations, by backtracking.
+
+    Candidate images must match on (degree, sorted distance profile), which
+    prunes most of the factorial tree on irregular graphs.
+    """
+    if g.n > cap:
+        raise SizeLimitError(
+            f"automorphism search capped at {cap} vertices (got {g.n}); "
+            "use a dedicated tool such as nauty for larger graphs")
+    dd = distances(g)
+    sentinel = g.n + 1  # unreachable sorts after every real distance
+    keys = [
+        (g.degree(u),
+         tuple(sorted(d if d is not None else sentinel for d in dd.dist[u])))
+        for u in range(g.n)
+    ]
+    perms: list[tuple[int, ...]] = []
+    image = [-1] * g.n
+    used = [False] * g.n
+
+    def extend(u: int):
+        if u == g.n:
+            perms.append(tuple(image))
+            return
+        for w in range(g.n):
+            if used[w] or keys[w] != keys[u]:
+                continue
+            ok = True
+            for v in range(u):
+                if g.has_edge(u, v) != g.has_edge(w, image[v]):
+                    ok = False
+                    break
+            if ok:
+                image[u] = w
+                used[w] = True
+                extend(u + 1)
+                used[w] = False
+        image[u] = -1
+
+    extend(0)
+    # extend refers to itself through its closure cell; breaking that cycle
+    # frees perms with the caller's last reference instead of at the next
+    # full garbage collection
+    del extend
+    return perms
+
+
+def orbit_partition_reference(auts: list[tuple[int, ...]], n: int) -> OrbitPartition:
+    """Closure of the group action on V x V."""
+    seen = [[False] * n for _ in range(n)]
+    orbits = []
+    for u in range(n):
+        for v in range(n):
+            if seen[u][v]:
+                continue
+            orb = set()
+            for sigma in auts:
+                orb.add((sigma[u], sigma[v]))
+            for x, y in orb:
+                seen[x][y] = True
+            orbits.append(tuple(sorted(orb)))
+    return OrbitPartition(n=n, orbits=tuple(orbits))

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from quograph import (GraphInputError, parse_circulant, parse_edge_list,
                       parse_graph6, parse_graph_spec)
+from quograph.formats import to_graph6 as encode_graph6
 
 
 def to_graph6(G):
@@ -53,6 +54,17 @@ def test_graph6_round_trip_large(n, p, seed):
     g = parse_graph6(to_graph6(G))
     assert g.n == n
     assert sorted(g.edges()) == sorted(tuple(sorted(e)) for e in G.edges())
+
+
+def test_graph6_encoder_matches_networkx():
+    rng = random.Random(11)
+    cases = [nx.path_graph(1), nx.complete_graph(62), nx.cycle_graph(63),
+             nx.gnp_random_graph(130, 0.1, seed=3)]
+    cases += [nx.gnp_random_graph(rng.randint(2, 40), rng.uniform(0.1, 0.9),
+                                  seed=rng.randint(0, 9999)) for _ in range(40)]
+    for G in cases:
+        line = to_graph6(G)
+        assert encode_graph6(parse_graph6(line)) == line
 
 
 def test_graph6_header_prefix():

@@ -1,6 +1,6 @@
 """WalkAlgebra.membership against the n^2-row reference solve it replaced."""
 from quograph import (Polynomial, WalkAlgebra, automorphisms, distances,
-                      mat_mul, orbit_partition)
+                      is_orbit_polynomial, mat_mul, orbit_partition)
 from quograph.exact import identity
 from quograph.graphs import distance_class_matrix
 
@@ -50,16 +50,23 @@ def test_distance_polynomials_match_oracle(small_corpus, corpus_reports):
 
 
 def test_orbit_matrices_match_oracle(small_corpus):
-    checked = 0
+    """Each orbit matrix against the reference solve, and the orbit count of
+    is_orbit_polynomial against membership of all the orbit matrices."""
+    checked = orbit_polynomial = 0
     for g in small_corpus:
         if g.n > 7:  # the atlas part of the corpus
             continue
         alg = WalkAlgebra.of(g)
         op = orbit_partition(automorphisms(g), g.n)
+        members = True
         for i in range(len(op.orbits)):
             target = op.orbit_matrix(i)
             got = alg.membership([target])
             want = algebra_membership(alg.ladder, target)
             assert (None if got is None else got[0]) == want
+            members = members and want is not None
             checked += 1
+        assert is_orbit_polynomial(alg, op) is members
+        orbit_polynomial += members
     assert checked > 0
+    assert orbit_polynomial == 15
