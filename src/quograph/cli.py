@@ -2,7 +2,8 @@
 
 Subcommands: analyze, partition, polys, scheme, census.
 Exit codes: 0 success, 1 input error, 2 internal contract violation (a result
-that falsifies a theorem; these indicate bugs and are loud).
+that falsifies a theorem; these indicate bugs and are loud), 3 numeric
+disagreement (a spectral cross-check failed at the given tolerance).
 """
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ import math
 import os
 import sys
 
-from .errors import (ContractViolationError, GraphInputError, QuographError)
+from .errors import (ContractViolationError, GraphInputError, QuographError,
+                     ToleranceError)
 from .exact import poly_to_text
 from .formats import parse_graph_spec
 from .report import (AnalysisOptions, analyze, census, report_to_dict,
@@ -218,6 +220,9 @@ def main(argv=None) -> int:
     except ContractViolationError as e:
         print(f"internal consistency error: {e}", file=sys.stderr)
         return 2
+    except ToleranceError as e:
+        print(f"numeric disagreement: {e}", file=sys.stderr)
+        return 3
     except (GraphInputError, QuographError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

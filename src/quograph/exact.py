@@ -62,9 +62,7 @@ class RowBasis:
                 row = [a * x - b * y for x, y in zip(row, r)]
         for j, x in enumerate(row):
             if x:
-                g = 0
-                for y in row[j:]:
-                    g = gcd(g, y)
+                g = gcd(*row[j:])
                 if x < 0:
                     g = -g
                 self._rows[j] = [y // g for y in row]
@@ -72,26 +70,30 @@ class RowBasis:
         return False
 
 
-def _int_rows(m) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (rank is unaffected)."""
-    out = []
+_INT_ONLY = frozenset({int})
+
+
+def _int_rows(m):
+    """Each row scaled by the lcm of its denominators (rank is unaffected)."""
     for row in m:
-        if any(isinstance(x, Fraction) for x in row):
-            scale = 1
-            for x in row:
-                d = x.denominator if isinstance(x, Fraction) else 1
-                scale = scale * d // gcd(scale, d)
-            out.append([int(x * scale) for x in row])
-        else:
-            out.append(list(row))
-    return out
+        # one exact type test in C, not an isinstance(x, Fraction) ABC check
+        # per entry
+        if _INT_ONLY.issuperset(map(type, row)):
+            yield row
+            continue
+        scale = 1
+        for x in row:
+            d = x.denominator if isinstance(x, Fraction) else 1
+            scale = scale * d // gcd(scale, d)
+        yield [int(x * scale) for x in row]
 
 
 def rank(m) -> int:
     """Exact rank over Q of an integer or rational matrix."""
     basis = RowBasis()
     for row in _int_rows(m):
-        basis.add(row)
+        if basis.add(row) and basis.rank == len(row):
+            break  # full column rank: no further row is independent
     return basis.rank
 
 

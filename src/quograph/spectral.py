@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ToleranceError
-from .graphs import Graph
-from .partitions import WalkAlgebra
+from .partitions import PairPartition, WalkAlgebra
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,8 @@ class Tolerances:
     """All numeric comparison thresholds in one place."""
 
     eig_gap_rel: float = 1e-8       # relative gap for eigenvalue grouping
-    pair_match: float = 1e-8        # m-vector grouping in spectrum_partition
+    pair_match: float = 1e-8        # m-vector distance to the walk class's
+                                    # first pair, in spectrum_partition
 
     @staticmethod
     def with_base(base: float) -> "Tolerances":
@@ -73,32 +73,79 @@ def spectral_decomposition(alg: WalkAlgebra,
         idempotents=tuple(idems))
 
 
-def spectrum_partition(g: Graph, sd: SpectralDecomposition,
-                       tol: float = Tolerances().pair_match):
-    """Partition of V x V by m(u,v) vectors under component-wise tolerance.
+def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
+                       tol: float = Tolerances().pair_match) -> None:
+    """Check that grouping the m(u,v) vectors under component-wise tolerance
+    reproduces the exact walk partition `pp`; raise ToleranceError if not.
 
-    Returns a frozenset of frozensets of ordered pairs. A pair within `tol`
-    of two distinct representatives is a tolerance error, never a guess.
+    The grouping meant is the greedy one: pairs in row-major order, each
+    joining the one group whose first pair lies within `tol` (Chebyshev
+    distance) or starting a new group, and a pair within `tol` of two first
+    pairs being an error. Let f(C) be the first pair of class C. That
+    grouping is `pp` exactly when every pair p of every class C
+      (a) lies within `tol` of f(C), and
+      (b) lies within `tol` of no f(C') with C' != C and f(C') < p.
+    (a) is one pass over the n^2 pairs. By the triangle inequality, (b) can
+    fail only between classes whose first pairs lie within 2 tol; a sweep
+    over the first pairs sorted on one coordinate, with a 4 tol window that
+    rounding cannot defeat, finds those few class pairs, and only their
+    pairs are compared. Memory stays O(n^2 (d+1)).
     """
-    n = g.n
-    stack = np.stack([e for e in sd.idempotents], axis=-1)  # (n, n, d+1)
-    flat = stack.reshape(n * n, -1)
-    reps = np.empty((0, flat.shape[1]))
-    members: list[list[tuple[int, int]]] = []
-    for idx in range(n * n):
-        vec = flat[idx]
-        if len(members):
-            dists = np.max(np.abs(reps - vec), axis=1)
-            hits = np.nonzero(dists <= tol)[0]
-        else:
-            hits = []
-        if len(hits) > 1:
+    n = pp.n
+    flat = np.stack(sd.idempotents, axis=-1).reshape(n * n, -1)
+    ids = np.array(pp.class_index, dtype=np.intp).reshape(-1)
+    first = np.array([u * n + v for u, v in map(min, pp.classes)])  # f(C)
+    own = first[ids]
+    dist = flat[own]
+    np.subtract(dist, flat, out=dist)
+    np.abs(dist, out=dist)
+    dist = dist.max(axis=1)
+    bad = ~(dist <= tol)  # a NaN fails too
+    bad[first] = False
+    if bad.any():
+        p = int(np.argmax(bad))
+        raise ToleranceError(
+            f"pair {divmod(p, n)} lies {dist[p]:.3g} from the first pair "
+            f"{divmod(int(own[p]), n)} of its walk class, beyond tol={tol}")
+
+    # The sweep sorts in Python: numpy's sorts would page in code worth more
+    # resident memory than the arrays here. It runs on the coordinate with
+    # the most distinct values, since idempotent entries such as m_j / n
+    # repeat across classes; a NaN first pair is left out, as it matches
+    # nothing.
+    reps = flat[first]
+    cols = reps.T.tolist()
+    key = max(range(len(cols)), key=lambda j: len(set(cols[j])))
+    col = cols[key]
+    order = np.array(sorted((k for k, x in enumerate(col) if x == x),
+                            key=col.__getitem__), dtype=np.intp)
+    coord = reps[order, key]
+    window = 4 * tol
+    members = None  # pair indices grouped by class, built on first use
+    for step in range(1, len(order)):
+        near = np.flatnonzero(coord[step:] - coord[:-step] <= window)
+        if not len(near):
+            break  # sorted: no wider step can fall in the window either
+        a, b = order[near], order[near + step]
+        close = np.abs(reps[a] - reps[b]).max(axis=1) <= window
+        if not close.any():
+            continue
+        if members is None:
+            members = np.array([u * n + v for cls in pp.classes
+                                for u, v in cls], dtype=np.intp)
+            bounds = np.cumsum([0] + [len(cls) for cls in pp.classes])
+        # (b) for the pairs of class c against the first pair of `other`,
+        # both ways round; each class is met at most twice per step
+        c = np.concatenate([a[close], b[close]])
+        other = np.concatenate([b[close], a[close]])
+        size = bounds[c + 1] - bounds[c]
+        at = np.repeat(bounds[c] - np.cumsum(size) + size, size)
+        pairs = members[at + np.arange(len(at))]
+        other = np.repeat(other, size)
+        hit = (pairs > first[other]) & (
+            np.abs(flat[pairs] - reps[other]).max(axis=1) <= tol)
+        if hit.any():
+            k = int(np.argmax(hit))
             raise ToleranceError(
-                f"pair ({idx // n},{idx % n}) matches {len(hits)} m-vector groups "
-                f"within tol={tol}")
-        if len(hits) == 1:
-            members[int(hits[0])].append((idx // n, idx % n))
-        else:
-            reps = np.vstack([reps, vec])
-            members.append([(idx // n, idx % n)])
-    return frozenset(frozenset(c) for c in members)
+                f"pair {divmod(int(pairs[k]), n)} lies within tol={tol} of the "
+                f"first pairs of walk classes {ids[pairs[k]]} and {other[k]}")

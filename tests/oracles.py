@@ -2,12 +2,15 @@
 against. Each recomputes its quantity from scratch on a different path than
 the library takes (dense power products ranked on n^2-long rows, Horner on
 dense matrices, a per-vertex vector ladder, a Fraction Gauss-Jordan solve of
-W B^T = W+, exact traces, every automorphism listed one by one), so a fault
-in the library's own path cannot hide in both."""
+W B^T = W+, exact traces, every automorphism listed one by one, a greedy
+pair-by-pair grouping of the m-vectors), so a fault in the library's own
+path cannot hide in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from quograph import (AnalysisError, ContractViolationError, Graph,
                       GraphInputError, OrbitPartition, Polynomial,
@@ -22,7 +25,7 @@ from quograph.orbits import DEFAULT_VERTEX_CAP
 from quograph.partitions import LocalPartition, PairPartition
 from quograph.quotient import QuotientReport
 from quograph.schemes import AssociationScheme
-from quograph.spectral import SpectralDecomposition, Spectrum
+from quograph.spectral import SpectralDecomposition, Spectrum, Tolerances
 
 
 def all_ones(n: int) -> IntMatrix:
@@ -165,6 +168,37 @@ class MultiplicityVector:
 def crossed_multiplicities(sd: SpectralDecomposition, u: int, v: int) -> MultiplicityVector:
     """m(u,v): the (u,v)-entries of the idempotents E_0..E_d."""
     return MultiplicityVector(tuple(float(e[u, v]) for e in sd.idempotents))
+
+
+def spectrum_partition_reference(g: Graph, sd: SpectralDecomposition,
+                                 tol: float = Tolerances().pair_match):
+    """Partition of V x V by m(u,v) vectors under component-wise tolerance.
+
+    Returns a frozenset of frozensets of ordered pairs. A pair within `tol`
+    of two distinct representatives is a tolerance error, never a guess.
+    """
+    n = g.n
+    stack = np.stack([e for e in sd.idempotents], axis=-1)  # (n, n, d+1)
+    flat = stack.reshape(n * n, -1)
+    reps = np.empty((0, flat.shape[1]))
+    members: list[list[tuple[int, int]]] = []
+    for idx in range(n * n):
+        vec = flat[idx]
+        if len(members):
+            dists = np.max(np.abs(reps - vec), axis=1)
+            hits = np.nonzero(dists <= tol)[0]
+        else:
+            hits = []
+        if len(hits) > 1:
+            raise ToleranceError(
+                f"pair ({idx // n},{idx % n}) matches {len(hits)} m-vector groups "
+                f"within tol={tol}")
+        if len(hits) == 1:
+            members[int(hits[0])].append((idx // n, idx % n))
+        else:
+            reps = np.vstack([reps, vec])
+            members.append([(idx // n, idx % n)])
+    return frozenset(frozenset(c) for c in members)
 
 
 def graph_scalar_product(g: Graph, sp: Spectrum,

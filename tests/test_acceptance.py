@@ -100,8 +100,9 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
     for g, rpt in zip(small_corpus, reports):
         rep = rpt.quotient
         assert rep.r >= rep.d, "r >= d violated"
-        # analyze() already enforced spectrum_partition == global_partition
-        # (it raises ToleranceError otherwise); check distance-faithfulness
+        # analyze() already checked that the m-vector grouping reproduces
+        # the exact walk partition (spectrum_partition raises ToleranceError
+        # otherwise); check distance-faithfulness
         dd = distances(g)
         pp = rep.partition
         for u in range(g.n):

@@ -173,6 +173,20 @@ def test_tol_flag_rejects_malformed(capsys, monkeypatch, bad):
             f"got {bad!r}") in err
 
 
+def test_tolerance_error_exit_code(capsys, monkeypatch):
+    """A failed spectral cross-check exits 3, apart from bad input (1) and
+    broken theorems (2)."""
+    monkeypatch.delenv("QUOGRAPH_TOL", raising=False)
+    # the eigenvalue grouping merges all five distinct eigenvalues
+    code, out, err = run(capsys, "analyze", "circulant:17:1,4", "--tol", "10")
+    assert code == 3 and out == ""
+    assert "numeric disagreement: numeric grouping found 1" in err
+    # P4's eigenvalues stay apart, but its m-vectors are ambiguous at 0.5
+    code, out, err = run(capsys, "analyze", "graph6:Ch", "--tol", "0.5")
+    assert code == 3 and out == ""
+    assert "numeric disagreement: pair" in err and "tol=0.5" in err
+
+
 def test_debug_checks_flag(capsys):
     code, out, _ = run(capsys, "analyze", "circulant:17:1,4", "--debug-checks")
     assert code == 0 and "quotient-polynomial: True" in out

@@ -33,6 +33,9 @@ def test_rank_basics():
     assert rank(all_ones(3)) == 1
     assert rank([[Fraction(1, 2), 1], [1, 2]]) == 1
     assert rank(CIRC17_W) == 5
+    # more rows than columns, integer and rational rows mixed
+    assert rank([[1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 1], [3, 3]]) == 2
+    assert rank([[0, 0, 0], [2, 4, 6], [Fraction(-1), -2, -3]]) == 1
 
 
 def test_rowbasis_contains():

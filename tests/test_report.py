@@ -1,6 +1,7 @@
 """Report pipeline, serialization round trip, and census records."""
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,6 +37,24 @@ def test_json_round_trip(circ17, y6):
         assert d1 == d2
         # serialization itself is deterministic
         assert report_to_json(rpt) == json.dumps(d1, indent=2)
+
+
+def test_json_writer_matches_json_dumps():
+    """report_to_json's writer gives json.dumps(..., indent=2) byte for byte
+    on edge values."""
+    from quograph.report import _to_json
+    values = [
+        {}, [], (), {"a": {}, "b": []}, [[], {}, ()],
+        (1, (2, (3, ())), [4, (5,)]),
+        {"\u00e9t\u00e9": "snow \u2603, \"quoted\"\n\ttab \U0001F600"},
+        10 ** 40, -(10 ** 40), -7, 0, True, False, None,
+        1e-12, -0.0, 0.1, 1e300, math.nan, math.inf, -math.inf,
+        {"flags": [True, False, None], "x": [1e-12, math.nan, math.inf],
+         "nested": {"deeper": [{"k": ["v", -1, 2.5]}]}},
+    ]
+    for v in values:
+        assert _to_json(v, "") == json.dumps(v, indent=2), v
+    assert _to_json(values, "") == json.dumps(values, indent=2)
 
 
 def test_corpus_json_matches_committed_digests(corpus_reports):

@@ -1,13 +1,21 @@
 """Numeric spectral layer and its agreement with the exact path."""
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from quograph import (Polynomial, ToleranceError, Tolerances, WalkAlgebra,
                       complete_graph, cycle_graph, decide_quotient_polynomial,
-                      global_partition, spectral_decomposition,
+                      parse_graph_spec, path_graph, spectral_decomposition,
                       spectrum_partition)
+from quograph.formats import to_graph6
+from quograph.partitions import PairPartition
+from quograph.spectral import SpectralDecomposition, Spectrum
 
-from oracles import b_via_trace, crossed_multiplicities, graph_scalar_product
+from oracles import (b_via_trace, crossed_multiplicities, graph_scalar_product,
+                     spectrum_partition_reference)
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
 
 
@@ -77,29 +85,112 @@ def test_crossed_multiplicities_diagonal(circ17):
 
 def test_spectrum_partition_matches_walk_partition(circ17, y6, petersen):
     for g in [circ17, y6, petersen, cycle_graph(6)]:
-        sd = spectrum(g)
-        assert spectrum_partition(g, sd) == global_partition(g).as_setpartition()
+        alg = WalkAlgebra.of(g)
+        spectrum_partition(spectral_decomposition(alg), alg.partition)
 
 
 def test_spectrum_partition_huge_tol_collapses(petersen):
-    # with an absurd tolerance every pair joins the first group
-    sd = spectrum(petersen)
-    assert len(spectrum_partition(petersen, sd, tol=10.0)) == 1
+    # with an absurd tolerance the second class's first pair lies within tol
+    # of the first class's, so the grouping would merge them
+    alg = WalkAlgebra.of(petersen)
+    sd = spectral_decomposition(alg)
+    assert len(spectrum_partition_reference(petersen, sd, tol=10.0)) == 1
+    with pytest.raises(ToleranceError):
+        spectrum_partition(sd, alg.partition, tol=10.0)
 
 
 def test_spectrum_partition_ambiguous_tol_raises():
     # P4 has walk classes whose m-vectors sit between two others in the
     # Chebyshev metric; a tolerance straddling those gaps must refuse to guess
-    from quograph import path_graph
     g = path_graph(4)
-    sd = spectrum(g)
+    alg = WalkAlgebra.of(g)
+    sd = spectral_decomposition(alg)
     mats = np.stack(sd.idempotents, axis=-1).reshape(16, -1)
     reps = np.unique(np.round(mats, 9), axis=0)
     gaps = sorted({float(np.max(np.abs(a - b)))
                    for i, a in enumerate(reps) for b in reps[i + 1:]})
     tol = (gaps[0] + gaps[-1]) / 2  # larger than some gaps, smaller than others
     with pytest.raises(ToleranceError):
-        spectrum_partition(g, sd, tol=tol)
+        spectrum_partition(sd, alg.partition, tol=tol)
+
+
+def test_spectrum_partition_nan_idempotent(petersen):
+    # a NaN m-vector entry is within no tolerance of anything, as in the
+    # greedy grouping, where the pair would start a group of its own
+    alg = WalkAlgebra.of(petersen)
+    sd = spectral_decomposition(alg)
+    e = sd.idempotents[1].copy()
+    e[3, 7] = np.nan
+    bad = SpectralDecomposition(sd.spectrum, (sd.idempotents[0], e)
+                                + sd.idempotents[2:])
+    with pytest.raises(ToleranceError, match=r"\(3, 7\)"):
+        spectrum_partition(bad, alg.partition)
+    with pytest.raises(ToleranceError):
+        spectrum_partition(bad, alg.partition, tol=10.0)
+    assert (spectrum_partition_reference(petersen, bad)
+            != alg.partition.as_setpartition())
+    # a NaN at the one pair of a class matches nothing else: the greedy
+    # grouping still gives the walk partition, and the check passes
+    g = path_graph(3)
+    alg = WalkAlgebra.of(g)
+    sd = spectral_decomposition(alg)
+    assert alg.partition.classes[alg.partition.class_index[1][1]] == ((1, 1),)
+    e = sd.idempotents[0].copy()
+    e[1, 1] = np.nan
+    lone = SpectralDecomposition(sd.spectrum, (e,) + sd.idempotents[1:])
+    assert (spectrum_partition_reference(g, lone)
+            == alg.partition.as_setpartition())
+    spectrum_partition(lone, alg.partition)
+
+
+def test_spectrum_partition_pair_before_other_class_may_be_near_it():
+    # one-dimensional m-vectors 0, 1 | 2, 2 in row-major order and tol 1:
+    # the greedy grouping puts pair (0, 1) with (0, 0) before the class of
+    # (1, 0) has a group, so (0, 1) lying within tol of (1, 0) is no clash
+    pp = PairPartition.of(2, ((1,), (0,)), (((0, 0), (0, 1)), ((1, 0), (1, 1))))
+    sd = SpectralDecomposition(Spectrum((0.0,), (2,)),
+                               (np.array([[0.0, 1.0], [2.0, 2.0]]),))
+    spectrum_partition(sd, pp, tol=1.0)
+    assert (spectrum_partition_reference(path_graph(2), sd, tol=1.0)
+            == pp.as_setpartition())
+
+
+def _passes(check) -> bool:
+    try:
+        return check()
+    except ToleranceError:
+        return False
+
+
+DIFFERENTIAL_TOLS = (10.0, 0.1, 0.03, 0.01, 1e-3, 1e-8, 1e-15, 1e-17, 0.0)
+
+
+def test_spectrum_partition_matches_greedy_oracle(small_corpus):
+    """spectrum_partition(sd, pp, tol) passes exactly when the greedy
+    grouping returns pp without raising, on every corpus graph and every
+    input of the `large` benchmark, over a sweep of tolerances."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    large = [parse_graph_spec(s)
+             for s in workload_inputs("large", DEFAULT_SEED)]
+    graphs = list(small_corpus) + large
+    passed = Counter()
+    for g in graphs:
+        alg = WalkAlgebra.of(g)
+        sd = spectral_decomposition(alg)
+        pp = alg.partition
+        want_partition = pp.as_setpartition()
+        for tol in DIFFERENTIAL_TOLS:
+            want = _passes(lambda: spectrum_partition_reference(g, sd, tol)
+                           == want_partition)
+            got = _passes(lambda: spectrum_partition(sd, pp, tol) is None)
+            assert got == want, (to_graph6(g), tol)
+            passed[tol] += want
+    # the default tolerance passes throughout; rejections are exercised
+    assert len(large) == 4
+    assert passed[Tolerances().pair_match] == len(graphs)
+    assert sum(passed.values()) < len(graphs) * len(DIFFERENTIAL_TOLS)
 
 
 def test_scalar_product(circ17):
