@@ -16,7 +16,7 @@ from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       generates_scheme_check, is_distance_polynomial,
                       is_distance_regular, is_h_punctually_walk_regular,
                       is_walk_regular, qp_implies_dp)
-from .spectral import (SpectralDecomposition, Spectrum, Tolerances,
+from .spectral import (DEFAULT_TOL, SpectralDecomposition, Spectrum,
                        spectral_decomposition, spectrum_partition)
 from .orbits import (AutomorphismGroup, OrbitPartition, automorphisms,
                      is_orbit_polynomial, orbit_partition)

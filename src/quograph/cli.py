@@ -20,32 +20,32 @@ from .exact import poly_to_text
 from .formats import parse_graph_spec
 from .report import (AnalysisOptions, analyze, census, report_to_dict,
                      report_to_json, report_to_text)
-from .spectral import Tolerances
+from .spectral import DEFAULT_TOL
 
 TOL_ENV_VAR = "QUOGRAPH_TOL"
 
 
 def _tolerance(text: str, source: str) -> float:
-    """A finite, non-negative base tolerance, or GraphInputError naming its
+    """A finite, non-negative tolerance, or GraphInputError naming its
     source."""
     try:
-        base = float(text)
+        tol = float(text)
     except ValueError:
-        base = math.nan
-    if not 0 <= base < math.inf:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
         raise GraphInputError(
             f"{source}: tolerance must be a finite non-negative number, "
             f"got {text!r}")
-    return base
+    return tol
 
 
-def _tolerances(args) -> Tolerances:
+def _tolerances(args) -> float:
     if args.tol is not None:
-        return Tolerances.with_base(_tolerance(args.tol, "--tol"))
+        return _tolerance(args.tol, "--tol")
     env = os.environ.get(TOL_ENV_VAR)
     if env:
-        return Tolerances.with_base(_tolerance(env, TOL_ENV_VAR))
-    return Tolerances()
+        return _tolerance(env, TOL_ENV_VAR)
+    return DEFAULT_TOL
 
 
 def _options(args) -> AnalysisOptions:

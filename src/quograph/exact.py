@@ -3,8 +3,9 @@
 Matrices are plain nested lists; integer matrices hold Python ints (unbounded,
 walk counts grow like k^l), rational ones hold Fractions in lowest terms.
 This module holds the exact kernels (products, rank, polynomials) that the
-classification decisions use next to the Python-int ladder pass and the
-integer inverse in partitions.py; no decision is a tolerance call.
+classification decisions use next to the walk algebra in partitions.py,
+which reads every power A^l off the walk classes rather than keep it as an
+n x n matrix; no decision is a tolerance call.
 """
 from __future__ import annotations
 
@@ -137,19 +138,6 @@ class Polynomial:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-
-def combine_powers(coeffs, powers) -> RatMatrix:
-    """Sum c_l * A^l given the precomputed power ladder; cheaper than Horner."""
-    n = len(powers[0])
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for c, p in zip(coeffs, powers):
-        if c:
-            for i in range(n):
-                row, prow = out[i], p[i]
-                for j in range(n):
-                    row[j] += c * prow[j]
-    return out
 
 
 def frac_str(q) -> str:

@@ -104,16 +104,17 @@ def distances(g: Graph) -> DistanceData:
     return DistanceData(tuple(dist_rows), tuple(ecc), diameter, connected)
 
 
-def require_connected(g: Graph, dd: DistanceData | None = None) -> DistanceData:
-    dd = dd if dd is not None else distances(g)
+def require_connected(g: Graph) -> DistanceData:
+    """The distances of a connected graph; AnalysisError otherwise."""
+    dd = distances(g)
     if not dd.connected:
         raise AnalysisError("graph is disconnected; analysis is undefined")
     return dd
 
 
-def distance_class_matrix(g: Graph, i: int, dd: DistanceData | None = None) -> list[list[int]]:
+def distance_class_matrix(g: Graph, i: int) -> list[list[int]]:
     """0/1 matrix of the pairs at distance exactly i."""
-    dd = dd if dd is not None else distances(g)
+    dd = distances(g)
     if dd.diameter is None:
         raise AnalysisError("distance class matrices need a connected graph")
     if not (0 <= i <= dd.diameter):

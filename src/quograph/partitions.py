@@ -19,12 +19,13 @@ from .graphs import DistanceData, Graph, require_connected
 
 @dataclass(frozen=True)
 class Ladder:
-    """The powers I, A, ..., A^d and what the class-level pass that found
-    them knows: the walk classes of V x V, d+1 pairs whose walk vectors
-    form the basis block B, its integer inverse adj = det * B^-1, and the
-    minimal polynomial. len() is d+1, the adjacency algebra dimension."""
+    """What the class-level pass over I, A, ..., A^d keeps: the walk classes
+    of V x V with their walk vectors, so A^l[u][v] is entry l of the vector
+    of the class of (u, v); d+1 pairs whose walk vectors form the basis
+    block B, its integer inverse adj = det * B^-1, and the minimal
+    polynomial. No power is kept. len() is d+1, the adjacency algebra
+    dimension."""
 
-    powers: tuple                              # I, A, ..., A^d, n x n ints
     class_ids: tuple[int, ...]                 # pair u*n+v -> class
     class_vectors: tuple[tuple[int, ...], ...]  # class -> (a^(0)..a^(d))
     basis_pairs: tuple[int, ...]               # row i of B is at pair i
@@ -33,15 +34,23 @@ class Ladder:
     minimal_polynomial: Polynomial
 
     def __len__(self) -> int:
-        return len(self.powers)
+        return len(self.basis_pairs)
+
+
+def walk_step(g: Graph, power):
+    """A P for the n x n matrix P: row u is the sum of the rows P[w] over
+    the neighbours w of u, O(n^2 k) Python-int additions, not an O(n^3)
+    product."""
+    return [list(map(sum, zip(*[power[w] for w in nb]))) if nb else [0] * g.n
+            for nb in g.neighbors]
 
 
 def adjacency_power_ladder(g: Graph) -> Ladder:
-    """I, A, ..., A^d where d+1 is the adjacency algebra dimension.
+    """The walk classes of I, A, ..., A^d, where d+1 is the adjacency
+    algebra dimension.
 
-    One pass per power, all in Python integers:
-    - A^(l+1) sums the rows A^l[w] over the neighbours w of each vertex:
-      O(n^2 k) additions, not an O(n^3) product;
+    One pass per power, all in Python integers, holding one power at a time:
+    - A^(l+1) is `walk_step` of A^l;
     - the pair classes are refined by the key (class, new entry), as in
       1-WL colour refinement, so every power so far is constant on them;
     - the new power is tested against the span of the earlier ones on the
@@ -51,9 +60,7 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
       coordinates give the minimal polynomial.
     """
     n = g.n
-    nbrs = [sorted(g.neighbors[u]) for u in range(n)]
     cur = identity(n)
-    powers = []
     ids = [0] * (n * n)       # every power so far is constant on each class
     vectors = [()]            # class -> its entries in the powers so far
     basis: list[int] = []     # pairs whose walk vectors are the rows of B
@@ -70,8 +77,8 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
             if t:
                 break
         else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
-            return Ladder(tuple(powers), tuple(ids), tuple(vectors),
-                          tuple(basis), tuple(map(tuple, adj)), det,
+            return Ladder(tuple(ids), tuple(vectors), tuple(basis),
+                          tuple(map(tuple, adj)), det,
                           Polynomial.of([Fraction(-c, det) for c in y] + [1]))
         # border B with the row m_j, x_j and the column b: det' = t
         z = [sum(c * a for c, a in zip(m, col)) for col in zip(*adj)]  # m adj
@@ -88,9 +95,7 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
         adj, det = grown + [[-zi for zi in z] + [det]], t
         basis.append(new.index(j))
         ids, vectors = new, [vectors[k] + (x,) for k, x in keys]
-        powers.append(cur)
-        cur = [list(map(sum, zip(*[cur[w] for w in nb]))) if nb else [0] * n
-               for nb in nbrs]
+        cur = walk_step(g, cur)
 
 
 def _first_nonzero(vec) -> int:
@@ -177,17 +182,17 @@ class WalkAlgebra:
     """The adjacency algebra A(Gamma) = span(I, A, ..., A^d) of a connected
     graph, read on its r+1 walk classes; build it once with `of`.
 
-    Each A^l with l <= d is constant on every class by construction, so
-    p(A) = T holds exactly when T is constant on classes and M c = t, where
-    c are the coefficients of p, t the class values of T, and M the
-    (r+1) x (d+1) class walk matrix, M[k][l] = a^(l) on class k. M has rank
-    d+1, the rank of the vectorized ladder; its basis rows form the block B,
-    kept as the integer matrix adj = det * B^-1.
+    Each A^l with l <= d is constant on every class by construction, so the
+    (r+1) x (d+1) class walk matrix M, M[k][l] = a^(l) on class k, holds
+    all of I, A, ..., A^d: A^l[u][v] = M[c(u,v)][l], c(u,v) being the class
+    of (u,v). No power is kept as an n x n matrix. p(A) = T holds exactly
+    when T is constant on classes and M c = t, where c are the coefficients
+    of p and t the class values of T. M has rank d+1; its basis rows form
+    the block B, kept as the integer matrix adj = det * B^-1.
     """
 
     g: Graph
     dd: DistanceData
-    ladder: tuple            # I, A, ..., A^d
     partition: PairPartition
     basis_rows: tuple[int, ...]  # the classes of the rows of B, in order
     adj: tuple[tuple[int, ...], ...]
@@ -200,12 +205,12 @@ class WalkAlgebra:
         lad = adjacency_power_ladder(g)
         pp = _ordered_partition(g.n, lad.class_ids, lad.class_vectors)
         rows = tuple(pp.class_index[p // g.n][p % g.n] for p in lad.basis_pairs)
-        return WalkAlgebra(g, dd, lad.powers, pp, rows, lad.adj, lad.det,
+        return WalkAlgebra(g, dd, pp, rows, lad.adj, lad.det,
                            lad.minimal_polynomial)
 
     @property
     def d(self) -> int:
-        return len(self.ladder) - 1
+        return len(self.basis_rows) - 1
 
     @property
     def m(self) -> tuple[tuple[int, ...], ...]:

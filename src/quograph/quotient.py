@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .errors import ContractViolationError
 from .exact import Polynomial, identity, mat_mul, rank, transpose
 from .partitions import (PairPartition, WalkAlgebra, check_regular,
-                         group_pairs, local_partition)
+                         group_pairs, local_partition, walk_step)
 
 
 @dataclass
@@ -88,10 +88,12 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
 
 
 def extended_partition_stable(alg: WalkAlgebra) -> bool:
-    """Debug witness: walk vectors extended to length 2d+1 refine nothing."""
-    a = alg.g.adjacency_matrix()
-    powers = list(alg.ladder)
-    for _ in range(alg.d):
-        powers.append(mat_mul(powers[-1], a))
+    """Debug witness: walk vectors extended to length 2d+1 refine nothing.
+
+    I, A, ..., A^(2d) are built afresh, one `walk_step` each (O(d n^2 k)
+    work), and the pairs grouped by them must give the walk partition."""
+    powers = [identity(alg.g.n)]
+    for _ in range(2 * alg.d):
+        powers.append(walk_step(alg.g, powers[-1]))
     return (group_pairs(alg.g.n, powers).as_setpartition()
             == alg.partition.as_setpartition())

@@ -11,7 +11,7 @@ import json
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
@@ -29,7 +29,8 @@ from .schemes import (AssociationScheme, ClassificationFlags, build_scheme,
                       is_distance_regular, is_h_punctually_walk_regular,
                       is_walk_regular, qp_implies_dp, scheme_ring_check,
                       scheme_via_solve)
-from .spectral import (Tolerances, spectral_decomposition, spectrum_partition)
+from .spectral import (DEFAULT_TOL, spectral_decomposition,
+                       spectrum_partition)
 
 log = logging.getLogger("quograph")
 
@@ -37,7 +38,7 @@ log = logging.getLogger("quograph")
 @dataclass(frozen=True)
 class AnalysisOptions:
     orbits: bool = False
-    tol: Tolerances = field(default_factory=Tolerances)
+    tol: float = DEFAULT_TOL
     debug_checks: bool = False
 
 
@@ -83,7 +84,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
     report.eigenvalues = [float(f"{x:.12g}") for x in sd.spectrum.eigenvalues]
     report.multiplicities = list(sd.spectrum.multiplicities)
     # Lemma: m-vector grouping must reproduce the exact walk partition
-    spectrum_partition(sd, pp, options.tol.pair_match)  # raises if not
+    spectrum_partition(sd, pp, options.tol)  # raises if not
 
     dp = is_distance_polynomial(alg)
     flags = ClassificationFlags(

@@ -13,8 +13,7 @@ from math import lcm
 import numpy as np
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
-from .exact import Polynomial, combine_powers, rank
-from .graphs import distance_class_matrix
+from .exact import Polynomial, rank
 from .partitions import PairPartition, WalkAlgebra
 from .quotient import QuotientReport
 
@@ -68,19 +67,20 @@ def is_distance_polynomial(alg: WalkAlgebra) -> tuple[Polynomial, ...] | None:
 
 def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
     """Distance polynomials of a QP graph as sums of quotient polynomials
-    over the classes meeting each distance; verified exactly."""
+    over the classes meeting each distance; each is checked exactly to give
+    A_i, which is 1 on the classes at distance i and 0 on the others."""
     if not rep.is_quotient_polynomial:
         raise AnalysisError("qp_implies_dp needs a quotient-polynomial graph")
     pp = rep.partition
+    dist = [pp.class_distance(j) for j in range(pp.r + 1)]
     out = []
     for i in range(alg.dd.diameter + 1):
         p = Polynomial.of([0])
-        for j in range(pp.r + 1):
+        for j, dj in enumerate(dist):
             # tr(A_i J_j) != 0 iff class j sits at distance i
-            if pp.class_distance(j) == i:
+            if dj == i:
                 p = p + rep.polynomials[j]
-        if (combine_powers(p.coeffs, alg.ladder)
-                != distance_class_matrix(alg.g, i, alg.dd)):
+        if not alg.satisfies(p, [int(dj == i) for dj in dist]):
             raise ContractViolationError(
                 f"summed quotient polynomials fail p_{i}(A) = A_{i}")
         out.append(p)

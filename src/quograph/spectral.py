@@ -14,17 +14,10 @@ from .errors import ToleranceError
 from .partitions import PairPartition, WalkAlgebra
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """All numeric comparison thresholds in one place."""
-
-    eig_gap_rel: float = 1e-8       # relative gap for eigenvalue grouping
-    pair_match: float = 1e-8        # m-vector distance to the walk class's
-                                    # first pair, in spectrum_partition
-
-    @staticmethod
-    def with_base(base: float) -> "Tolerances":
-        return Tolerances(eig_gap_rel=base, pair_match=base)
+# The one numeric threshold: the eigenvalue gap, relative to max(1, |lambda_0|),
+# in spectral_decomposition, and the m-vector distance to the walk class's
+# first pair, absolute, in spectrum_partition.
+DEFAULT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,7 +33,7 @@ class SpectralDecomposition:
 
 
 def spectral_decomposition(alg: WalkAlgebra,
-                           tol: Tolerances = Tolerances()) -> SpectralDecomposition:
+                           tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Distinct eigenvalues, multiplicities, and minimal idempotents E_j.
 
     Idempotents are assembled as V_j V_j^T from orthonormal eigenvector
@@ -49,7 +42,7 @@ def spectral_decomposition(alg: WalkAlgebra,
     a = np.array(alg.g.adjacency_matrix(), dtype=float)
     vals, vecs = np.linalg.eigh(a)  # ascending
     lam0 = float(vals[-1])
-    thr = tol.eig_gap_rel * max(1.0, abs(lam0))
+    thr = tol * max(1.0, abs(lam0))
     groups: list[list[int]] = [[0]]
     for i in range(1, len(vals)):
         if vals[i] - vals[groups[-1][0]] > thr:
@@ -74,7 +67,7 @@ def spectral_decomposition(alg: WalkAlgebra,
 
 
 def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
-                       tol: float = Tolerances().pair_match) -> None:
+                       tol: float = DEFAULT_TOL) -> None:
     """Check that grouping the m(u,v) vectors under component-wise tolerance
     reproduces the exact walk partition `pp`; raise ToleranceError if not.
 

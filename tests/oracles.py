@@ -18,14 +18,13 @@ from quograph import (AnalysisError, ContractViolationError, Graph,
                       check_regular, distances, local_partition, mat_mul,
                       rank)
 from quograph import exact
-from quograph.exact import (IntMatrix, RatMatrix, combine_powers, identity,
-                            transpose)
+from quograph.exact import IntMatrix, RatMatrix, identity, transpose
 from quograph.graphs import DistanceData
 from quograph.orbits import DEFAULT_VERTEX_CAP
 from quograph.partitions import LocalPartition, PairPartition
 from quograph.quotient import QuotientReport
 from quograph.schemes import AssociationScheme
-from quograph.spectral import SpectralDecomposition, Spectrum, Tolerances
+from quograph.spectral import DEFAULT_TOL, SpectralDecomposition, Spectrum
 
 
 def all_ones(n: int) -> IntMatrix:
@@ -130,6 +129,26 @@ def adjacency_power_ladder_reference(g: Graph) -> list[list[list[int]]]:
         cur = mat_mul(cur, a)
 
 
+def class_powers(alg: WalkAlgebra) -> list[list[list[int]]]:
+    """[I, A, ..., A^d] read off the walk classes: A^l[u][v] = M[c(u,v)][l]."""
+    m, index = alg.m, alg.partition.class_index
+    return [[[m[c][l] for c in row] for row in index]
+            for l in range(alg.d + 1)]
+
+
+def combine_powers(coeffs, powers) -> RatMatrix:
+    """Sum c_l * A^l given the precomputed power ladder; cheaper than Horner."""
+    n = len(powers[0])
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for c, p in zip(coeffs, powers):
+        if c:
+            for i in range(n):
+                row, prow = out[i], p[i]
+                for j in range(n):
+                    row[j] += c * prow[j]
+    return out
+
+
 def eval_poly(p: Polynomial, a: IntMatrix) -> RatMatrix:
     """p(A) by Horner's scheme on matrices; exact."""
     n = len(a)
@@ -145,7 +164,7 @@ def eval_poly(p: Polynomial, a: IntMatrix) -> RatMatrix:
 
 def walk_vectors(g: Graph) -> dict[tuple[int, int], tuple[int, ...]]:
     """Map (u,v) -> (a_uv^(0), ..., a_uv^(d)), exact."""
-    ladder = WalkAlgebra.of(g).ladder
+    ladder = adjacency_power_ladder_reference(g)
     return {(u, v): tuple(p[u][v] for p in ladder)
             for u in range(g.n) for v in range(g.n)}
 
@@ -171,7 +190,7 @@ def crossed_multiplicities(sd: SpectralDecomposition, u: int, v: int) -> Multipl
 
 
 def spectrum_partition_reference(g: Graph, sd: SpectralDecomposition,
-                                 tol: float = Tolerances().pair_match):
+                                 tol: float = DEFAULT_TOL):
     """Partition of V x V by m(u,v) vectors under component-wise tolerance.
 
     Returns a frozenset of frozensets of ordered pairs. A pair within `tol`
@@ -219,17 +238,18 @@ def graph_scalar_product(g: Graph, sp: Spectrum,
     return val
 
 
-def b_via_trace(alg: WalkAlgebra, polys, i: int, j: int) -> float:
-    """tr(A V_i V_j) / tr(V_j^2) with V_k = p_k(A); equals (B^T)_{ij}.
+def b_via_trace(g: Graph, ladder, polys, i: int, j: int) -> float:
+    """tr(A V_i V_j) / tr(V_j^2) with V_k = p_k(A), summed over the dense
+    ladder [I, A, ..., A^d]; equals (B^T)_{ij}.
 
     When the edges form a single walk class A is exactly V_1 and this is the
     classical p^j_{1i} ratio; using A directly keeps the identity with
     B = W^-1 W+ valid when the adjacency matrix splits into several classes.
     Computed with exact matrix traces, then converted to float.
     """
-    a = alg.g.adjacency_matrix()
-    vi = combine_powers(polys[i].coeffs, alg.ladder)
-    vj = combine_powers(polys[j].coeffs, alg.ladder)
+    a = g.adjacency_matrix()
+    vi = combine_powers(polys[i].coeffs, ladder)
+    vj = combine_powers(polys[j].coeffs, ladder)
     denom = trace(mat_mul(vj, vj))
     if denom == 0:
         raise ContractViolationError(
@@ -329,20 +349,20 @@ def per_vertex_consistency(alg: WalkAlgebra, rep: QuotientReport) -> bool:
 
 
 def generates_scheme_check_reference(scheme: AssociationScheme,
-                                     alg: WalkAlgebra) -> bool:
-    """True iff vec(A^0..A^d) spans the same rational row space as the
-    vectorized scheme classes. The d+1 powers are independent (the ladder
-    stops at the first dependent one)."""
+                                     ladder) -> bool:
+    """True iff vec(A^0..A^d), from the ladder [I, A, ..., A^d], spans the
+    same rational row space as the vectorized scheme classes. The d+1 powers
+    are independent (the ladder stops at the first dependent one)."""
     scheme_basis = RowBasis()
     combined = RowBasis()
-    for p in alg.ladder:
+    for p in ladder:
         combined.add([x for row in p for x in row])
     for m in scheme.classes:
         vec = [x for row in m for x in row]
         scheme_basis.add(vec)
         combined.add(vec)
     # equal spans iff neither side adds anything to the other
-    return alg.d + 1 == scheme_basis.rank == combined.rank
+    return len(ladder) == scheme_basis.rank == combined.rank
 
 
 def all_automorphisms(g: Graph, cap: int = DEFAULT_VERTEX_CAP) -> list[tuple[int, ...]]:

@@ -14,8 +14,9 @@ from quograph import (WalkAlgebra, analyze, automorphisms,
                       spectral_decomposition)
 from quograph.exact import transpose
 
-from oracles import (b_via_trace, eval_poly, graph_scalar_product,
-                     is_distance_faithful, per_vertex_consistency)
+from oracles import (adjacency_power_ladder_reference, b_via_trace, eval_poly,
+                     graph_scalar_product, is_distance_faithful,
+                     per_vertex_consistency)
 from test_schemes import brute_intersection_numbers
 from worked_examples import (CIRC17_B, CIRC17_BT, CIRC17_EIGS, CIRC17_POLYS,
                              CIRC17_W, CIRC17_W_PLUS, Y6_A1, Y6_A4,
@@ -130,9 +131,10 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
         assert rpt.scheme is not None                       # axioms verified
         qp_implies_dp(alg, rep)                             # raises on failure
         bt = transpose(rep.intersection_b)
+        ladder = adjacency_power_ladder_reference(g)
         for i in range(rep.r + 1):
             for j in range(rep.r + 1):
-                assert abs(b_via_trace(alg, rep.polynomials, i, j)
+                assert abs(b_via_trace(g, ladder, rep.polynomials, i, j)
                            - bt[i][j]) < 1e-9
     elapsed = fixture_elapsed + (time.monotonic() - t0)
     assert elapsed < 300, f"criterion 5 took {elapsed:.1f}s"

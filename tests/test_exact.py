@@ -4,11 +4,11 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from quograph import Polynomial, mat_mul, rank
-from quograph.exact import (combine_powers, frac_str, identity, parse_frac,
-                            poly_to_text, transpose)
+from quograph.exact import (frac_str, identity, parse_frac, poly_to_text,
+                            transpose)
 from quograph.graphs import complete_graph
 
-from oracles import RowBasis, all_ones, eval_poly, solve
+from oracles import RowBasis, all_ones, combine_powers, eval_poly, solve
 from worked_examples import CIRC17_BT, CIRC17_W, CIRC17_W_PLUS
 
 

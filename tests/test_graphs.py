@@ -46,7 +46,7 @@ def test_distances_disconnected():
     assert dd.diameter is None
     assert dd.dist[0][2] is None
     with pytest.raises(AnalysisError):
-        require_connected(g, dd)
+        require_connected(g)
 
 
 def test_distance_class_matrices_partition_pairs():
@@ -55,13 +55,13 @@ def test_distance_class_matrices_partition_pairs():
     assert dd.diameter == 2
     total = [[0] * 10 for _ in range(10)]
     for i in range(3):
-        m = distance_class_matrix(g, i, dd)
+        m = distance_class_matrix(g, i)
         for u in range(10):
             for v in range(10):
                 total[u][v] += m[u][v]
     assert total == [[1] * 10 for _ in range(10)]
     with pytest.raises(GraphInputError):
-        distance_class_matrix(g, 3, dd)
+        distance_class_matrix(g, 3)
 
 
 def test_families():

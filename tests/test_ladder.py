@@ -1,6 +1,6 @@
-"""The class-level ladder against the dense ladder it replaced, and what the
-pass keeps: the bordered inverse of the basis block and the minimal
-polynomial."""
+"""The class-level ladder against the dense ladder it replaced, read off the
+walk classes entry by entry, and what the pass keeps: the bordered inverse
+of the basis block and the minimal polynomial."""
 import sys
 from pathlib import Path
 
@@ -8,16 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from quograph import (Polynomial, WalkAlgebra, adjacency_power_ladder,
                       build_graph, mat_mul, parse_graph_spec, petersen_graph)
-from quograph.exact import combine_powers
 from quograph.partitions import group_pairs
 
-from oracles import adjacency_power_ladder_reference
+from oracles import (adjacency_power_ladder_reference, class_powers,
+                     combine_powers)
+
+
+def ladder_off_classes(g):
+    """I, A, ..., A^d read off the ladder's walk classes, all (d+1) n^2
+    entries: A^l[u][v] is entry l of the walk vector of the class of (u,v)."""
+    lad = adjacency_power_ladder(g)
+    assert {len(vec) for vec in lad.class_vectors} == {len(lad)}
+    vecs = [lad.class_vectors[k] for k in lad.class_ids]
+    return [[[vecs[u * g.n + v][l] for v in range(g.n)] for u in range(g.n)]
+            for l in range(len(lad))]
 
 
 def test_corpus_ladders_and_partitions_match_reference(small_corpus):
     for g in small_corpus:
         want = adjacency_power_ladder_reference(g)
-        assert list(adjacency_power_ladder(g).powers) == want
+        assert ladder_off_classes(g) == want
         assert WalkAlgebra.of(g).partition == group_pairs(g.n, want)
 
 
@@ -27,8 +37,7 @@ def test_large_ladders_match_reference():
     from inputs import DEFAULT_SEED, workload_inputs
     for spec in workload_inputs("large", DEFAULT_SEED):
         g = parse_graph_spec(spec)
-        assert (list(adjacency_power_ladder(g).powers)
-                == adjacency_power_ladder_reference(g)), spec
+        assert ladder_off_classes(g) == adjacency_power_ladder_reference(g), spec
 
 
 @st.composite
@@ -44,8 +53,7 @@ def random_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(random_graphs())
 def test_random_ladders_match_reference(g):
-    assert (list(adjacency_power_ladder(g).powers)
-            == adjacency_power_ladder_reference(g))
+    assert ladder_off_classes(g) == adjacency_power_ladder_reference(g)
 
 
 def test_bordered_inverse_and_minimal_polynomial(small_corpus):
@@ -59,7 +67,7 @@ def test_bordered_inverse_and_minimal_polynomial(small_corpus):
         assert mat_mul([list(row) for row in alg.adj], block) == eye
         mu = alg.minimal_polynomial
         assert mu.degree == alg.d + 1 and mu.coeffs[-1] == 1
-        powers = list(alg.ladder)
+        powers = class_powers(alg)
         powers.append(mat_mul(powers[-1], g.adjacency_matrix()))
         zero = [[0] * g.n for _ in range(g.n)]
         assert combine_powers(mu.coeffs, powers) == zero
@@ -73,6 +81,7 @@ def test_petersen_minimal_polynomial():
 
 
 def test_ladder_of_single_vertex():
-    lad = adjacency_power_ladder(build_graph(1, []))
-    assert list(lad.powers) == [[[1]]] and len(lad) == 1
+    g = build_graph(1, [])
+    lad = adjacency_power_ladder(g)
+    assert ladder_off_classes(g) == [[[1]]] and len(lad) == 1
     assert lad.minimal_polynomial == Polynomial.of([0, 1])

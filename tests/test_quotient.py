@@ -1,4 +1,5 @@
 """Quotient-polynomial decision, polynomial recovery, and W/W+ machinery."""
+import dataclasses
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -10,11 +11,15 @@ from quograph import (Polynomial, WalkAlgebra, analyze, build_graph, circulant,
                       global_partition, local_partition, parse_graph_spec,
                       path_graph, petersen_graph, prism_y6, quotient)
 from quograph.errors import AnalysisError, ContractViolationError
+from quograph.partitions import PairPartition
+from quograph.quotient import extended_partition_stable
 from quograph.schemes import AssociationScheme, generates_scheme_check
 
-from oracles import (class_matrix, eval_poly, generates_scheme_check_reference,
-                     intersection_matrix, local_dimension,
-                     per_vertex_consistency, walk_count_matrices)
+from oracles import (adjacency_power_ladder_reference, class_matrix,
+                     class_powers, eval_poly,
+                     generates_scheme_check_reference, intersection_matrix,
+                     local_dimension, per_vertex_consistency,
+                     walk_count_matrices)
 from worked_examples import (CIRC17_B, CIRC17_POLYS, CIRC17_W, CIRC17_W_PLUS)
 
 
@@ -131,8 +136,12 @@ def test_readoff_matches_oracles(small_corpus, corpus_reports):
         assert rep.walk_matrix_plus == wm.w_plus
         assert rep.intersection_b == intersection_matrix(wm)
         alg = WalkAlgebra.of(g)
+        # the dense reference ladder takes ~1 s on Q7 (n = 128), so there
+        # the powers are read off the classes; test_ladder proves them equal
+        ladder = (class_powers(alg) if g.n > 64
+                  else adjacency_power_ladder_reference(g))
         assert rpt.scheme_generates is True
-        assert generates_scheme_check_reference(rpt.scheme, alg) is True
+        assert generates_scheme_check_reference(rpt.scheme, ladder) is True
         if rep.d > 1:
             *rest, a, b = rpt.scheme.classes
             merged = AssociationScheme(
@@ -140,7 +149,7 @@ def test_readoff_matches_oracles(small_corpus, corpus_reports):
                                  for ra, rb in zip(a, b)]),
                 intersection_numbers=())
             assert generates_scheme_check(merged, alg) is False
-            assert generates_scheme_check_reference(merged, alg) is False
+            assert generates_scheme_check_reference(merged, ladder) is False
         checked.append((g.n, rep.d))
     assert (128, 7) in checked and (41, 20) in checked  # Q7 and cycle:41
     assert len(checked) == 17  # 15 from the corpus
@@ -195,3 +204,17 @@ def test_polynomials_satisfy_p_of_a_equals_class_matrix(circ17):
     a = circ17.adjacency_matrix()
     for i, p in enumerate(rep.polynomials):
         assert eval_poly(p, a) == class_matrix(rep.partition, i)
+
+
+def test_extended_partition_stable_rejects_merged_classes(circ17, petersen):
+    """The witness holds on the walk partition and fails on one with two
+    classes merged, which walks of length up to 2d tell apart."""
+    for g in [circ17, petersen, cycle_graph(12)]:
+        alg = WalkAlgebra.of(g)
+        assert extended_partition_stable(alg)
+        pp = alg.partition
+        *rest, a, b = pp.classes
+        merged = PairPartition.of(g.n, pp.class_walk_vectors[:-1],
+                                  [*rest, a + b])
+        assert not extended_partition_stable(
+            dataclasses.replace(alg, partition=merged))

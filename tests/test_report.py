@@ -100,7 +100,7 @@ def test_orbit_pass_skipped_over_cap(caplog):
 
 
 def test_debug_checks_pass(circ17, y6):
-    for g in [circ17, y6, petersen_graph()]:
+    for g in [circ17, y6, petersen_graph(), cycle_graph(41)]:  # C41: d = 20
         rpt = analyze(g, AnalysisOptions(debug_checks=True))
         assert rpt.error is None
 

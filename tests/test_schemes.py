@@ -1,15 +1,17 @@
 """Classifiers and the generated association scheme."""
+import dataclasses
 import sys
+from fractions import Fraction
 
 import pytest
 
-from quograph import (PairPartition, WalkAlgebra, analyze, build_graph,
-                      build_scheme, complete_graph, cycle_graph,
-                      decide_quotient_polynomial, distances,
-                      global_partition, is_distance_polynomial,
-                      is_distance_regular, is_h_punctually_walk_regular,
-                      is_walk_regular, path_graph, petersen_graph, prism_y6,
-                      qp_implies_dp, star_graph)
+from quograph import (PairPartition, Polynomial, WalkAlgebra, analyze,
+                      build_graph, build_scheme, complete_graph, cycle_graph,
+                      decide_quotient_polynomial, global_partition,
+                      is_distance_polynomial, is_distance_regular,
+                      is_h_punctually_walk_regular, is_walk_regular,
+                      path_graph, petersen_graph, prism_y6, qp_implies_dp,
+                      star_graph)
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import (AssociationScheme, generates_scheme_check,
                               scheme_ring_check, scheme_via_solve)
@@ -87,6 +89,22 @@ def test_qp_implies_dp_circulant(circ17):
     assert dps[3] == rep.polynomials[4]
 
 
+def test_qp_implies_dp_rejects_perturbed_polynomial(circ17):
+    """Changing any one quotient polynomial breaks the distance polynomial
+    it is summed into: a nonzero q of degree <= d has q(A) != 0."""
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    pp = rep.partition
+    for j in range(rep.r + 1):
+        polys = list(rep.polynomials)
+        polys[j] = polys[j] + Polynomial.of([0, Fraction(1, 7)])
+        i = pp.class_distance(j)
+        with pytest.raises(ContractViolationError,
+                           match=rf"p_{i}\(A\) = A_{i}"):
+            qp_implies_dp(alg, dataclasses.replace(rep,
+                                                   polynomials=tuple(polys)))
+
+
 def test_qp_implies_dp_requires_qp(y6):
     with pytest.raises(AnalysisError):
         alg = WalkAlgebra.of(y6)
@@ -123,10 +141,9 @@ def test_build_scheme_petersen_matches_oracle(petersen):
 def test_scheme_classes_match_distance_classes_on_drg(petersen):
     rep = decide_quotient_polynomial(WalkAlgebra.of(petersen))
     s = build_scheme(rep, rep.partition)
-    dd = distances(petersen)
     from quograph.graphs import distance_class_matrix
     for i in range(3):
-        assert s.classes[i] == distance_class_matrix(petersen, i, dd)
+        assert s.classes[i] == distance_class_matrix(petersen, i)
 
 
 def test_scheme_not_generated_by_distance_power():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quograph import (Polynomial, ToleranceError, Tolerances, WalkAlgebra,
+from quograph import (DEFAULT_TOL, Polynomial, ToleranceError, WalkAlgebra,
                       complete_graph, cycle_graph, decide_quotient_polynomial,
                       parse_graph_spec, path_graph, spectral_decomposition,
                       spectrum_partition)
@@ -14,7 +14,8 @@ from quograph.formats import to_graph6
 from quograph.partitions import PairPartition
 from quograph.spectral import SpectralDecomposition, Spectrum
 
-from oracles import (b_via_trace, crossed_multiplicities, graph_scalar_product,
+from oracles import (adjacency_power_ladder_reference, b_via_trace,
+                     crossed_multiplicities, graph_scalar_product,
                      spectrum_partition_reference)
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
 
@@ -47,8 +48,7 @@ def test_expected_distinct_mismatch_raises(circ17):
     # a gap threshold wider than the spectrum merges the five exact
     # eigenvalues into one numeric group
     with pytest.raises(ToleranceError):
-        spectral_decomposition(WalkAlgebra.of(circ17),
-                               tol=Tolerances.with_base(10.0))
+        spectral_decomposition(WalkAlgebra.of(circ17), tol=10.0)
 
 
 def test_idempotent_identities(petersen):
@@ -189,7 +189,7 @@ def test_spectrum_partition_matches_greedy_oracle(small_corpus):
             passed[tol] += want
     # the default tolerance passes throughout; rejections are exercised
     assert len(large) == 4
-    assert passed[Tolerances().pair_match] == len(graphs)
+    assert passed[DEFAULT_TOL] == len(graphs)
     assert sum(passed.values()) < len(graphs) * len(DIFFERENTIAL_TOLS)
 
 
@@ -217,22 +217,18 @@ def test_quotient_polynomials_are_orthogonal(circ17):
 
 
 def test_b_via_trace_known_entries(circ17):
-    alg = WalkAlgebra.of(circ17)
-    rep = decide_quotient_polynomial(alg)
-    assert b_via_trace(alg, rep.polynomials, 1, 0) == pytest.approx(4.0)
-    assert b_via_trace(alg, rep.polynomials, 4, 4) == pytest.approx(2.0)
-    assert b_via_trace(alg, rep.polynomials, 2, 0) == pytest.approx(0.0)
+    rep = decide_quotient_polynomial(WalkAlgebra.of(circ17))
+    ladder = adjacency_power_ladder_reference(circ17)
+    polys = rep.polynomials
+    assert b_via_trace(circ17, ladder, polys, 1, 0) == pytest.approx(4.0)
+    assert b_via_trace(circ17, ladder, polys, 4, 4) == pytest.approx(2.0)
+    assert b_via_trace(circ17, ladder, polys, 2, 0) == pytest.approx(0.0)
 
 
 def test_b_via_trace_recovers_bt(circ17):
-    alg = WalkAlgebra.of(circ17)
-    rep = decide_quotient_polynomial(alg)
+    rep = decide_quotient_polynomial(WalkAlgebra.of(circ17))
+    ladder = adjacency_power_ladder_reference(circ17)
     for i in range(5):
         for j in range(5):
-            got = b_via_trace(alg, rep.polynomials, i, j)
+            got = b_via_trace(circ17, ladder, rep.polynomials, i, j)
             assert abs(got - CIRC17_BT[i][j]) < 1e-9
-
-
-def test_tolerances_with_base():
-    t = Tolerances.with_base(1e-5)
-    assert t.eig_gap_rel == 1e-5 and t.pair_match == 1e-5
