@@ -5,9 +5,8 @@ from .errors import (AnalysisError, ContractViolationError, GraphInputError,
                      QuographError, SizeLimitError, ToleranceError)
 from .exact import Polynomial, frac_str, mat_mul, rank
 from .graphs import (DistanceData, Graph, build_graph, circulant,
-                     complete_graph, cycle_graph, distance_class_matrix,
-                     distances, path_graph, petersen_graph, prism_y6,
-                     star_graph)
+                     complete_graph, cycle_graph, distances, path_graph,
+                     petersen_graph, prism_y6, star_graph)
 from .partitions import (LocalPartition, PairPartition, WalkAlgebra,
                          adjacency_power_ladder, check_regular,
                          global_partition, local_partition)

@@ -19,7 +19,7 @@ from .errors import (ContractViolationError, GraphInputError, QuographError,
 from .exact import poly_to_text
 from .formats import parse_graph_spec
 from .report import (AnalysisOptions, analyze, census, report_to_dict,
-                     report_to_json, report_to_text)
+                     report_to_json, report_to_text, to_json)
 from .spectral import DEFAULT_TOL
 
 TOL_ENV_VAR = "QUOGRAPH_TOL"
@@ -96,7 +96,7 @@ def cmd_partition(args) -> int:
         return 1
     d = report_to_dict(report)
     if args.format == "json":
-        print(json.dumps(d["partition"], indent=2))
+        print(to_json(d["partition"]))
     else:
         pp = report.quotient.partition
         print(f"{pp.r + 1} classes (r = {pp.r})")
@@ -114,8 +114,7 @@ def cmd_polys(args) -> int:
     rep = report.quotient
     if args.format == "json":
         d = report_to_dict(report)
-        print(json.dumps({"quotient": d["quotient"],
-                          "flags": d["flags"]}, indent=2))
+        print(to_json({"quotient": d["quotient"], "flags": d["flags"]}))
         return 0
     if rep.polynomials:
         for i, p in enumerate(rep.polynomials):
@@ -144,7 +143,7 @@ def cmd_scheme(args) -> int:
         return 1
     d = report_to_dict(report)
     if args.format == "json":
-        print(json.dumps(d["scheme"], indent=2))
+        print(to_json(d["scheme"]))
     else:
         s = report.scheme
         print(f"{s.num_classes}-class association scheme on {report.n} points; "
@@ -162,7 +161,7 @@ def cmd_census(args) -> int:
             lines = fh.readlines()
     records, summary = census(lines, _options(args))
     if args.format == "json":
-        print(json.dumps({"records": records, "summary": summary}, indent=2))
+        print(to_json({"records": records, "summary": summary}))
     else:
         for rec in records:
             flags = "".join([

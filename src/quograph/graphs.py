@@ -112,16 +112,6 @@ def require_connected(g: Graph) -> DistanceData:
     return dd
 
 
-def distance_class_matrix(g: Graph, i: int) -> list[list[int]]:
-    """0/1 matrix of the pairs at distance exactly i."""
-    dd = distances(g)
-    if dd.diameter is None:
-        raise AnalysisError("distance class matrices need a connected graph")
-    if not (0 <= i <= dd.diameter):
-        raise GraphInputError(f"distance {i} outside 0..{dd.diameter}")
-    return [[1 if dd.dist[u][v] == i else 0 for v in range(g.n)] for u in range(g.n)]
-
-
 # --- named families -------------------------------------------------------
 
 def complete_graph(n: int) -> Graph:

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractViolationError
-from .exact import Polynomial, identity, mat_mul, rank, transpose
+from .exact import Polynomial, identity, mat_mul, subset_ranks, transpose
 from .partitions import (PairPartition, WalkAlgebra, check_regular,
                          group_pairs, local_partition, walk_step)
 
@@ -35,22 +35,24 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     """Compute d, r, the QP flag, and (when QP) polynomials, W, W+, B, H."""
     g, pp, d = alg.g, alg.partition, alg.d
     r = pp.r
-    # d_u+1 equals the rank of the walk vectors of the classes meeting u
-    # (A^l e_u is constant on local cells), ranked once per set of classes;
-    # the tests compare it with an independent oracle that ranks e_u, A e_u,
-    # A^2 e_u, ... directly.
-    ranks: dict[frozenset[int], int] = {}
-    local_dims = []
-    for row in pp.class_index:
-        ids = frozenset(row)
-        if ids not in ranks:
-            ranks[ids] = rank([pp.class_walk_vectors[i] for i in ids])
-        local_dims.append(ranks[ids])
+    # d_u+1 is the rank of K_u = [e_u, A e_u, ..., A^d e_u], whose rows are
+    # the walk vectors of the classes meeting u. K_u^T K_u is the Hankel
+    # matrix of A^l[u][u] = M[c(u,u)][l], its entries past d fixed by mu, so
+    # the rank depends on the diagonal class c(u,u) alone and is taken once
+    # per diagonal class, at its first vertex. `subset_ranks` keeps a
+    # rank mod p only where it reaches min(#classes at u, d+1), which bounds
+    # the rank over Q, and ranks every other over Q. The tests compare every
+    # d_u with an oracle that ranks e_u, A e_u, A^2 e_u, ... directly.
+    ids = pp.diagonal_classes
+    # the classes meeting the first vertex of each diagonal class
+    meeting = [sorted(set(pp.class_index[pp.classes[i][0][0]])) for i in ids]
+    rank_of = dict(zip(ids, subset_ranks(pp.class_walk_vectors, meeting)))
+    diag = map(tuple.__getitem__, pp.class_index, range(g.n))  # c(u,u)
     rep = QuotientReport(
         d=d, r=r, diameter=alg.dd.diameter,
         is_quotient_polynomial=(r == d),
         partition=pp,
-        local_dimensions=tuple(local_dims),
+        local_dimensions=tuple(map(rank_of.__getitem__, diag)),
     )
     if not rep.is_quotient_polynomial:
         return rep

@@ -283,8 +283,13 @@ def _to_json(o, indent: str) -> str:
             + "\n" + indent + brackets[1])
 
 
+def to_json(o) -> str:
+    """`json.dumps(o, indent=2)`, byte for byte, by the `str.join` writer."""
+    return _to_json(o, "")
+
+
 def report_to_json(report: Report) -> str:
-    return _to_json(report_to_dict(report), "")
+    return to_json(report_to_dict(report))
 
 
 def report_to_text(report: Report) -> str:

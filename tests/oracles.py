@@ -1,10 +1,10 @@
 """Independent reference implementations that the tests compare the library
 against. Each recomputes its quantity from scratch on a different path than
 the library takes (dense power products ranked on n^2-long rows, Horner on
-dense matrices, a per-vertex vector ladder, a Fraction Gauss-Jordan solve of
-W B^T = W+, exact traces, every automorphism listed one by one, a greedy
-pair-by-pair grouping of the m-vectors), so a fault in the library's own
-path cannot hide in both."""
+dense matrices, a per-vertex vector ladder, Gauss-Jordan mod p with
+inverses, a Fraction Gauss-Jordan solve of W B^T = W+, exact traces, every
+automorphism listed one by one, a greedy pair-by-pair grouping of the
+m-vectors), so a fault in the library's own path cannot hide in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -108,6 +108,23 @@ class RowBasis(exact.RowBasis):
                 a, b = r[p], row[p]
                 row = [a * x - b * y for x, y in zip(row, r)]
         return not any(row)
+
+
+def rank_mod_p(m, p: int) -> int:
+    """Rank over GF(p), by Gauss-Jordan with inverses pow(x, p - 2, p)."""
+    rows = [[x % p for x in row] for row in m]
+    rk = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rk, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rk], rows[piv] = rows[piv], rows[rk]
+        inv = pow(rows[rk][c], p - 2, p)
+        for i in range(rk + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[rk])]
+        rk += 1
+    return rk
 
 
 def adjacency_power_ladder_reference(g: Graph) -> list[list[list[int]]]:
@@ -256,6 +273,16 @@ def b_via_trace(g: Graph, ladder, polys, i: int, j: int) -> float:
             "class matrix V_j is zero; classes are nonempty by construction")
     num = trace(mat_mul(mat_mul(a, vi), vj))
     return float(Fraction(num) / Fraction(denom))
+
+
+def distance_class_matrix(g: Graph, i: int) -> list[list[int]]:
+    """0/1 matrix of the pairs at distance exactly i."""
+    dd = distances(g)
+    if dd.diameter is None:
+        raise AnalysisError("distance class matrices need a connected graph")
+    if not (0 <= i <= dd.diameter):
+        raise GraphInputError(f"distance {i} outside 0..{dd.diameter}")
+    return [[1 if dd.dist[u][v] == i else 0 for v in range(g.n)] for u in range(g.n)]
 
 
 def class_matrix(pp: PairPartition, i: int) -> list[list[int]]:

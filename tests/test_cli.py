@@ -19,6 +19,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def loads_as_dumped(out):
+    """The JSON printed, checked to be the bytes of json.dumps(indent=2)."""
+    d = json.loads(out)
+    assert out == json.dumps(d, indent=2) + "\n"
+    return d
+
+
 def test_analyze_text(capsys):
     code, out, _ = run(capsys, "analyze", "circulant:17:1,4")
     assert code == 0
@@ -59,7 +66,7 @@ def test_partition_subcommand(capsys):
     assert "5 classes (r = 4)" in out
     code, out, _ = run(capsys, "partition", "circulant:17:1,4",
                        "--format", "json")
-    d = json.loads(out)
+    d = loads_as_dumped(out)
     assert d["num_classes"] == 5
     assert len(d["classes"][0]["pairs"]) == 17  # the diagonal
 
@@ -71,11 +78,17 @@ def test_polys_subcommand(capsys):
     assert "distance p2(x)" in out
     code, out, _ = run(capsys, "polys", "name:petersen")
     assert "H(x)" in out
+    code, out, _ = run(capsys, "polys", "name:y6", "--format", "json")
+    d = loads_as_dumped(out)
+    assert d["quotient"]["r"] == 7 and d["flags"]["distance_polynomial"]
 
 
 def test_scheme_subcommand(capsys):
     code, out, _ = run(capsys, "scheme", "name:petersen")
     assert code == 0 and "2-class association scheme" in out
+    code, out, _ = run(capsys, "scheme", "name:petersen", "--format", "json")
+    d = loads_as_dumped(out)
+    assert d["generates"] is True and len(d["classes"]) == 3
     code, _, err = run(capsys, "scheme", "name:y6")
     assert code == 1 and "no scheme" in err
 
@@ -86,7 +99,7 @@ def test_census_stdin(capsys, monkeypatch, tmp_path):
     p.write_text(lines)
     code, out, _ = run(capsys, "census", str(p), "--format", "json")
     assert code == 0
-    d = json.loads(out)
+    d = loads_as_dumped(out)
     assert d["summary"]["parse_errors"] == 1
     assert d["summary"]["graphs"] == 2
     assert d["records"][0]["graph6"] == "A_"

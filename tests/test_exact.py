@@ -1,14 +1,18 @@
 """Exact linear algebra and polynomial layer."""
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quograph import Polynomial, mat_mul, rank
-from quograph.exact import (frac_str, identity, parse_frac, poly_to_text,
+from quograph import exact
+from quograph.exact import (BATCH_WORK, RANK_PRIME, _ranks_mod_p, frac_str,
+                            identity, parse_frac, poly_to_text, subset_ranks,
                             transpose)
 from quograph.graphs import complete_graph
 
-from oracles import RowBasis, all_ones, combine_powers, eval_poly, solve
+from oracles import (RowBasis, all_ones, combine_powers, eval_poly,
+                     rank_mod_p, solve)
 from worked_examples import CIRC17_BT, CIRC17_W, CIRC17_W_PLUS
 
 
@@ -36,6 +40,54 @@ def test_rank_basics():
     # more rows than columns, integer and rational rows mixed
     assert rank([[1, 2], [Fraction(1, 3), Fraction(2, 3)], [0, 1], [3, 3]]) == 2
     assert rank([[0, 0, 0], [2, 4, 6], [Fraction(-1), -2, -3]]) == 1
+
+
+def test_subset_ranks_restores_rank_over_q(monkeypatch):
+    """In a batch ranked mod p, a matrix whose modular rank falls short of
+    min(#rows, #columns) is ranked over Q; one that reaches it is not."""
+    p = RANK_PRIME
+    over_q = []
+
+    def counted(m):
+        over_q.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(exact, "rank", counted)
+    pad = [0] * 14
+    rows = identity(16) + [[p, 1] + pad, [2 * p, 0] + pad,
+                           [p * 2 ** 70, 3 * p] + pad]  # beyond int64
+    p1, p2, big = 16, 17, 18
+    cases = [
+        (list(range(16)), 16),  # 16 x 16, bound met
+        ([p1, 1], 2),           # [[p, 1], [0, 1]]: rank 1 mod p
+        ([p2], 1),              # 0 mod p
+        ([big], 1),             # 0 mod p
+        ([0, 1], 2),            # bound met
+        (list(range(19)), 16),  # 19 rows, bound 16, met
+        ([], 0),
+    ]
+    subsets = [ids for ids, _ in cases]
+    work = sum(min(len(ids), 16) * len(ids) * 16 for ids in subsets)
+    assert work >= BATCH_WORK  # one batch mod p
+    assert subset_ranks(rows, subsets) == [want for _, want in cases]
+    assert over_q == [[rows[p1], rows[1]], [rows[p2]], [rows[big]]]
+
+
+def test_subset_ranks_of_small_batches(monkeypatch):
+    """Below BATCH_WORK every matrix is ranked over Q, here those of K1
+    (d = 0) and K2 (d = 1), one per diagonal class as
+    decide_quotient_polynomial ranks them, and [[p, 1], [0, 1]]."""
+    over_q = []
+
+    def counted(m):
+        over_q.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(exact, "rank", counted)
+    assert subset_ranks([(1,)], [[0]]) == [1]
+    assert subset_ranks([(1, 0), (0, 1)], [[0, 1]]) == [2]
+    assert subset_ranks([[RANK_PRIME, 1], [0, 1]], [[0, 1]]) == [2]
+    assert len(over_q) == 3
 
 
 def test_rowbasis_contains():
@@ -134,6 +186,47 @@ def test_rank_invariant_under_row_permutation_and_scaling(m, rng):
     scaled = [[f * x for x in row] for f, row in zip(factors, rows)]
     assert rank(scaled) == r0
     assert rank(transpose(m)) == r0
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_matrix(max_n=12), st.randoms(use_true_random=False))
+def test_subset_ranks_equal_rank_over_q(m, rng):
+    """Any rows chosen, some scaled by p so that they vanish mod p; the
+    larger draws reach BATCH_WORK and are ranked mod p first."""
+    rows = [[x * RANK_PRIME ** rng.choice([0, 0, 0, 1, 3]) for x in row]
+            for row in m]
+    subsets = [[j for j in range(len(rows)) if rng.random() < 0.8]
+               for _ in range(16)]
+    want = [rank([rows[j] for j in s]) if s else 0 for s in subsets]
+    assert subset_ranks(rows, subsets) == want
+
+
+# zeros often, so that some columns of a batch have no pivot
+mod_p_entry = st.one_of(st.just(0), st.sampled_from([1, 2, RANK_PRIME - 1]),
+                        st.integers(min_value=0, max_value=RANK_PRIME - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3),
+       st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=7), st.data())
+def test_ranks_mod_p_match_gauss_jordan_mod_p(k, h, w, data):
+    """The fraction-free batch kernel against Gauss-Jordan with inverses,
+    one matrix at a time, on entries in [0, p)."""
+    batch = [[[data.draw(mod_p_entry) for _ in range(w)] for _ in range(h)]
+             for _ in range(k)]
+    got = _ranks_mod_p(np.array(batch, dtype=np.int64)).tolist()
+    assert got == [rank_mod_p(m, RANK_PRIME) for m in batch]
+
+
+def test_ranks_mod_p_column_without_pivot():
+    """A matrix with no pivot in a column keeps its rows for the next
+    column, beside one that has a pivot there."""
+    batch = np.array([[[1, 1, 0], [1, 1, 0], [0, 0, 1]],   # none in column 1
+                      [[0, 1, 0], [0, 0, 1], [0, 1, 1]],   # none in column 0
+                      [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                      [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.int64)
+    assert _ranks_mod_p(batch).tolist() == [2, 2, 0, 3]
 
 
 @settings(max_examples=60, deadline=None)

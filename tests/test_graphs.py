@@ -4,9 +4,10 @@ import pytest
 from quograph import (GraphInputError, build_graph, circulant, complete_graph,
                       cycle_graph, distances, path_graph, petersen_graph,
                       prism_y6, star_graph)
-from quograph.graphs import distance_class_matrix, require_connected
+from quograph.graphs import require_connected
 from quograph.errors import AnalysisError
 
+from oracles import distance_class_matrix
 from worked_examples import Y6_A1
 
 

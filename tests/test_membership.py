@@ -2,9 +2,8 @@
 from quograph import (Polynomial, WalkAlgebra, automorphisms, distances,
                       is_orbit_polynomial, mat_mul, orbit_partition)
 from quograph.exact import identity
-from quograph.graphs import distance_class_matrix
-
-from oracles import adjacency_power_ladder_reference, solve
+from oracles import (adjacency_power_ladder_reference, distance_class_matrix,
+                     solve)
 
 
 def algebra_membership(ladder, target) -> Polynomial | None:

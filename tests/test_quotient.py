@@ -1,5 +1,6 @@
 """Quotient-polynomial decision, polynomial recovery, and W/W+ machinery."""
 import dataclasses
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -8,8 +9,9 @@ import pytest
 
 from quograph import (Polynomial, WalkAlgebra, analyze, build_graph, circulant,
                       complete_graph, cycle_graph, decide_quotient_polynomial,
-                      global_partition, local_partition, parse_graph_spec,
-                      path_graph, petersen_graph, prism_y6, quotient)
+                      distances, global_partition, local_partition,
+                      parse_graph6, parse_graph_spec, path_graph,
+                      petersen_graph, prism_y6, quotient)
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.partitions import PairPartition
 from quograph.quotient import extended_partition_stable
@@ -37,10 +39,36 @@ def test_local_dimension_oracle_matches_fast_path(circ17, y6):
     """local_dimension builds the vector ladder from scratch; the report
     derives d_u from class walk vectors. They must agree everywhere."""
     for g in [circ17, y6, path_graph(5), petersen_graph(),
-              build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])]:
+              build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+              complete_graph(1), complete_graph(2)]:
         rep = decide(g)
         for u in range(g.n):
             assert local_dimension(g, u) == rep.local_dimensions[u]
+
+
+def test_local_dimensions_match_oracle(small_corpus, corpus_reports):
+    """Every d_u+1 of the report, ranked once per diagonal class mod p with
+    the exact fallback, equals the per-vertex vector ladder on the corpus,
+    the `large` benchmark inputs and a seeded G(40, 0.15); vertices with
+    the same diagonal class c(u,u) share it, and
+    ecc(u)+1 <= d_u+1 <= min(#classes at u, d+1)."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, gnp_connected, workload_inputs
+    graphs = [parse_graph_spec(spec)
+              for spec in workload_inputs("large", DEFAULT_SEED)]
+    graphs.append(parse_graph6(gnp_connected(40, 0.15, random.Random(1))))
+    pairs = list(zip(small_corpus, (r.quotient for r in corpus_reports[0])))
+    pairs += [(g, decide(g)) for g in graphs]
+    for g, rep in pairs:
+        pp, ecc = rep.partition, distances(g).ecc
+        by_class = {}
+        for u, du in enumerate(rep.local_dimensions):
+            assert du == local_dimension(g, u)
+            assert by_class.setdefault(pp.class_index[u][u], du) == du
+            assert ecc[u] + 1 <= du <= min(len(set(pp.class_index[u])),
+                                           rep.d + 1)
+    assert len(pairs) == 1196 + 5
 
 
 def test_local_dimension_bounds(y6):

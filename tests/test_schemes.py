@@ -16,6 +16,7 @@ from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import (AssociationScheme, generates_scheme_check,
                               scheme_ring_check, scheme_via_solve)
 
+from oracles import distance_class_matrix
 from worked_examples import Y6_DIST_POLYS
 
 
@@ -141,7 +142,6 @@ def test_build_scheme_petersen_matches_oracle(petersen):
 def test_scheme_classes_match_distance_classes_on_drg(petersen):
     rep = decide_quotient_polynomial(WalkAlgebra.of(petersen))
     s = build_scheme(rep, rep.partition)
-    from quograph.graphs import distance_class_matrix
     for i in range(3):
         assert s.classes[i] == distance_class_matrix(petersen, i)
 
