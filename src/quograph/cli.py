@@ -18,7 +18,7 @@ from .errors import (ContractViolationError, GraphInputError, QuographError,
                      ToleranceError)
 from .exact import poly_to_text
 from .formats import parse_graph_spec
-from .report import (AnalysisOptions, analyze, census, report_to_dict,
+from .report import (AnalysisOptions, analyze, census, json_sections,
                      report_to_json, report_to_text, to_json)
 from .spectral import DEFAULT_TOL
 
@@ -94,9 +94,8 @@ def cmd_partition(args) -> int:
     if report.error:
         print(report.error, file=sys.stderr)
         return 1
-    d = report_to_dict(report)
     if args.format == "json":
-        print(to_json(d["partition"]))
+        print(to_json(json_sections(report)["partition"]))
     else:
         pp = report.quotient.partition
         print(f"{pp.r + 1} classes (r = {pp.r})")
@@ -113,7 +112,7 @@ def cmd_polys(args) -> int:
         return 1
     rep = report.quotient
     if args.format == "json":
-        d = report_to_dict(report)
+        d = json_sections(report)
         print(to_json({"quotient": d["quotient"], "flags": d["flags"]}))
         return 0
     if rep.polynomials:
@@ -141,9 +140,8 @@ def cmd_scheme(args) -> int:
         print("graph is not quotient-polynomial; it generates no scheme",
               file=sys.stderr)
         return 1
-    d = report_to_dict(report)
     if args.format == "json":
-        print(to_json(d["scheme"]))
+        print(to_json(json_sections(report)["scheme"]))
     else:
         s = report.scheme
         print(f"{s.num_classes}-class association scheme on {report.n} points; "

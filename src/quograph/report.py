@@ -136,7 +136,10 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
 # --- serialization --------------------------------------------------------
 # Both directions walk one table per flat section, with rows (json key,
 # attribute path, (encode, decode)); a derived key has decode None. The
-# partition and scheme sections have shapes of their own.
+# partition and scheme sections have shapes of their own. `report_to_json`
+# writes the two bulk parts, the partition section and the scheme's 0/1
+# class matrices, with encoders of their own; the bytes stay those of
+# `json.dumps(report_to_dict(r), indent=2)`.
 
 def _same(x):
     return x
@@ -210,27 +213,40 @@ def _decode(table, section: dict) -> dict:
             for key, path, (_, dec) in table if dec is not None}
 
 
-def report_to_dict(report: Report) -> dict:
+def _partition_dict(pp: PairPartition) -> dict:
+    return {
+        "num_classes": pp.r + 1,
+        "classes": [
+            {"walk_vector": [str(x) for x in vec],
+             "pairs": [[u, v] for u, v in cls]}
+            for vec, cls in zip(pp.class_walk_vectors, pp.classes)
+        ],
+    }
+
+
+def _flat(m) -> list:
+    return [x for row in m for x in row]
+
+
+def _flat_classes(classes) -> list:
+    return [_flat(m) for m in classes]
+
+
+def _sections(report: Report, partition, scheme_classes) -> dict:
+    """The report's sections, with the partition section and the scheme's
+    class matrices made by the given functions."""
     d: dict = {"graph": _encode(_GRAPH, report), "error": report.error}
     rep = report.quotient
     if rep is not None:
-        pp = rep.partition
         d["quotient"] = _encode(_QUOTIENT, rep)
-        d["partition"] = {
-            "num_classes": pp.r + 1,
-            "classes": [
-                {"walk_vector": [str(x) for x in vec],
-                 "pairs": [[u, v] for u, v in cls]}
-                for vec, cls in zip(pp.class_walk_vectors, pp.classes)
-            ],
-        }
+        d["partition"] = partition(rep.partition)
     if report.eigenvalues is not None:
         d["spectrum"] = _encode(_SPECTRUM, report)
     if report.flags is not None:
         d["flags"] = _encode(_FLAGS, report.flags)
     if report.scheme is not None:
         d["scheme"] = {
-            "classes": [[x for row in m for x in row] for m in report.scheme.classes],
+            "classes": scheme_classes(report.scheme.classes),
             "intersection_numbers": [
                 [list(row) for row in pk]
                 for pk in report.scheme.intersection_numbers],
@@ -239,6 +255,21 @@ def report_to_dict(report: Report) -> dict:
     if report.orbit is not None:
         d["orbits"] = _encode(_ORBITS, report.orbit)
     return d
+
+
+def report_to_dict(report: Report) -> dict:
+    """The plain-dict form; `json.dumps(report_to_dict(r), indent=2)` defines
+    the JSON bytes."""
+    return _sections(report, _partition_dict, _flat_classes)
+
+
+def json_sections(report: Report) -> dict:
+    """`report_to_dict`'s sections for `to_json`, with the partition section
+    and the scheme's class matrices left to their own encoders: `to_json` of
+    it, or of any one section, is the text `json.dumps(..., indent=2)` gives
+    for the same part of `report_to_dict`."""
+    return _sections(report, lambda pp: _Encoded(_partition_json, pp),
+                     lambda classes: _Encoded(_scheme_classes_json, classes))
 
 
 def _float_json(x: float) -> str:
@@ -256,6 +287,24 @@ _LEAF_JSON = {str: encode_basestring_ascii, int: int.__repr__,
               type(None): lambda _: "null"}
 
 
+class _Encoded:
+    """A value that `_to_json` writes as `encode(value, indent)`, where indent
+    is that of the value's position."""
+    __slots__ = ("encode", "value")
+
+    def __init__(self, encode, value):
+        self.encode, self.value = encode, value
+
+
+def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """A JSON array (or object) of already encoded items, closed at indent."""
+    if not items:
+        return brackets
+    inner = indent + "  "
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + indent + brackets[1])
+
+
 def _to_json(o, indent: str) -> str:
     """`json.dumps(o, indent=2)` for dicts with str keys, lists, tuples and
     scalars of exactly those types, written with `str.join`: with an indent,
@@ -266,21 +315,14 @@ def _to_json(o, indent: str) -> str:
         return leaf(o)
     inner = indent + "  "
     if isinstance(o, dict):
-        if not o:
-            return "{}"
-        items = [f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}"
-                 for k, v in o.items()]
-        brackets = "{}"
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        items = [leaf(v) if (leaf := _LEAF_JSON.get(type(v)))
-                 else _to_json(v, inner) for v in o]
-        brackets = "[]"
-    else:
-        raise TypeError(f"{type(o).__name__} is not JSON serializable")
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
-            + "\n" + indent + brackets[1])
+        return _block([f"{encode_basestring_ascii(k)}: {_to_json(v, inner)}"
+                       for k, v in o.items()], indent, "{}")
+    if isinstance(o, (list, tuple)):
+        return _block([leaf(v) if (leaf := _LEAF_JSON.get(type(v)))
+                       else _to_json(v, inner) for v in o], indent)
+    if type(o) is _Encoded:
+        return o.encode(o.value, indent)
+    raise TypeError(f"{type(o).__name__} is not JSON serializable")
 
 
 def to_json(o) -> str:
@@ -288,8 +330,52 @@ def to_json(o) -> str:
     return _to_json(o, "")
 
 
+def _partition_json(pp: PairPartition, indent: str) -> str:
+    """`_partition_dict(pp)` as `_to_json` writes it, without building it:
+    one template per class, with walk counts written as `str(x)` and each
+    pair of int vertices as one f-string."""
+    if not (all(pp.classes) and all(pp.class_walk_vectors)):
+        # the template has no "[]"; report_from_dict reads "pairs": [] too
+        return _to_json(_partition_dict(pp), indent)
+    i2, i4, i6, i8, i10 = (indent + " " * k for k in (2, 4, 6, 8, 10))
+    head = "{\n" + i6 + '"walk_vector": [\n' + i8
+    mid = "\n" + i6 + "],\n" + i6 + '"pairs": [\n' + i8
+    tail = "\n" + i6 + "]\n" + i4 + "}"
+    sep = ",\n" + i8
+    classes = [
+        head + sep.join(map(encode_basestring_ascii, map(str, vec))) + mid
+        + sep.join([f"[\n{i10}{u},\n{i10}{v}\n{i8}]" for u, v in cls]) + tail
+        for vec, cls in zip(pp.class_walk_vectors, pp.classes)]
+    return (f'{{\n{i2}"num_classes": {pp.r + 1},\n'
+            f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
+
+
+_BITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(m) -> str:
+    """The entries of the matrix m, row-major, as a string of '0' and '1';
+    empty unless every entry is exactly the int 0 or 1."""
+    types = set()
+    for row in m:
+        types.update(map(type, row))
+    if types != {int} or not set().union(*m) <= {0, 1}:
+        return ""
+    return b"".join(map(bytes, m)).translate(_BITS).decode()
+
+
+def _scheme_classes_json(classes, indent: str) -> str:
+    """`_flat_classes(classes)` as `_to_json` writes it, without building it:
+    a 0/1 matrix is one join over its digit string; any other goes to the
+    generic writer."""
+    inner = indent + "  "
+    sep = ",\n" + inner + "  "
+    return _block([_block([sep.join(bits)], inner) if (bits := _bits(m))
+                   else _to_json(_flat(m), inner) for m in classes], indent)
+
+
 def report_to_json(report: Report) -> str:
-    return to_json(report_to_dict(report))
+    return to_json(json_sections(report))
 
 
 def report_to_text(report: Report) -> str:

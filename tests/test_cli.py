@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import quograph
+from quograph import analyze, parse_graph_spec, report_to_dict
 from quograph.cli import main
 from quograph.errors import ContractViolationError
 
@@ -69,6 +70,51 @@ def test_partition_subcommand(capsys):
     d = loads_as_dumped(out)
     assert d["num_classes"] == 5
     assert len(d["classes"][0]["pairs"]) == 17  # the diagonal
+
+
+PETERSEN_PARTITION_TEXT = """\
+3 classes (r = 2)
+J0: walk vector [1, 0, 3], 10 pairs
+J1: walk vector [0, 1, 0], 30 pairs
+J2: walk vector [0, 0, 1], 60 pairs
+"""
+Y6_PARTITION_TEXT = """\
+8 classes (r = 7)
+J0: walk vector [1, 0, 3, 0, 19, 0, 143], 12 pairs
+J1: walk vector [0, 1, 0, 7, 0, 51, 0], 12 pairs
+J2: walk vector [0, 1, 0, 6, 0, 46, 0], 24 pairs
+J3: walk vector [0, 0, 2, 0, 16, 0, 132], 24 pairs
+J4: walk vector [0, 0, 1, 0, 11, 0, 111], 24 pairs
+J5: walk vector [0, 0, 0, 3, 0, 35, 0], 24 pairs
+J6: walk vector [0, 0, 0, 2, 0, 30, 0], 12 pairs
+J7: walk vector [0, 0, 0, 0, 8, 0, 100], 12 pairs
+"""
+CIRC17_SCHEME_TEXT = """\
+4-class association scheme on 17 points; generated by the graph: True
+p^0_ij = [[1, 0, 0, 0, 0], [0, 4, 0, 0, 0], [0, 0, 4, 0, 0], [0, 0, 0, 4, 0], [0, 0, 0, 0, 4]]
+p^1_ij = [[0, 1, 0, 0, 0], [1, 0, 2, 1, 0], [0, 2, 0, 1, 1], [0, 1, 1, 1, 1], [0, 0, 1, 1, 2]]
+p^2_ij = [[0, 0, 1, 0, 0], [0, 2, 0, 1, 1], [1, 0, 0, 2, 1], [0, 1, 2, 0, 1], [0, 1, 1, 1, 1]]
+p^3_ij = [[0, 0, 0, 1, 0], [0, 1, 1, 1, 1], [0, 1, 2, 0, 1], [1, 1, 0, 0, 2], [0, 1, 1, 2, 0]]
+p^4_ij = [[0, 0, 0, 0, 1], [0, 0, 1, 1, 2], [0, 1, 1, 1, 1], [0, 1, 1, 2, 0], [1, 2, 1, 0, 0]]
+"""
+
+
+@pytest.mark.parametrize("command, spec, section, text", [
+    ("partition", "name:petersen", "partition", PETERSEN_PARTITION_TEXT),
+    ("partition", "name:y6", "partition", Y6_PARTITION_TEXT),  # not QP
+    ("scheme", "circulant:17:1,4", "scheme", CIRC17_SCHEME_TEXT),
+])
+def test_section_json_is_report_dict_section(capsys, command, spec, section,
+                                             text):
+    """The JSON a section subcommand prints, written by the section encoder,
+    is json.dumps of that section of report_to_dict; the text output is
+    as it was."""
+    want = report_to_dict(analyze(parse_graph_spec(spec)))[section]
+    code, out, _ = run(capsys, command, spec, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(want, indent=2) + "\n"
+    code, out, _ = run(capsys, command, spec)
+    assert code == 0 and out == text
 
 
 def test_polys_subcommand(capsys):

@@ -1,14 +1,21 @@
 """Report pipeline, serialization round trip, and census records."""
+import dataclasses
 import hashlib
 import json
 import math
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from quograph import (AnalysisOptions, analyze, build_graph, census,
-                      cycle_graph, path_graph, petersen_graph,
-                      report_from_dict, report_to_dict, report_to_json,
-                      report_to_text)
+                      cycle_graph, parse_graph_spec, path_graph,
+                      petersen_graph, report_from_dict, report_to_dict,
+                      report_to_json, report_to_text)
+from quograph.report import json_sections, to_json
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def test_analyze_flags_and_fields(circ17):
@@ -58,19 +65,103 @@ def test_json_writer_matches_json_dumps():
 
 
 def test_corpus_json_matches_committed_digests(corpus_reports):
-    """Every corpus report serializes to the bytes the benchmark committed,
-    and report_from_dict gives those bytes back."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
+    """Every corpus report serializes to json.dumps(report_to_dict(r),
+    indent=2), whose sha256 the benchmark committed, and report_from_dict
+    gives those bytes back."""
+    sys.path.insert(0, str(BENCH))
     from inputs import DEFAULT_SEED, workload_inputs
-    digests = json.loads((bench / "digests.json").read_text())["corpus"]
+    digests = json.loads((BENCH / "digests.json").read_text())["corpus"]
     specs = workload_inputs("corpus", DEFAULT_SEED)
     reports, _ = corpus_reports
     assert len(specs) == len(reports)
     for spec, rpt in zip(specs, reports):
         js = report_to_json(rpt)
+        assert js == json.dumps(report_to_dict(rpt), indent=2), spec
         assert hashlib.sha256(js.encode()).hexdigest() == digests[spec], spec
         assert report_to_json(report_from_dict(json.loads(js))) == js, spec
+
+
+@pytest.mark.parametrize("workload", ["large", "witness"])
+def test_workload_json_matches_committed_digests(workload):
+    """As the corpus test above, for every op of the other benchmark
+    workloads, run with the options bench/run.py gives them."""
+    sys.path.insert(0, str(BENCH))
+    import quograph
+    from inputs import DEFAULT_SEED, workload_inputs
+    from run import options_for
+    digests = json.loads((BENCH / "digests.json").read_text())[workload]
+    options = options_for(quograph, workload)
+    for spec in workload_inputs(workload, DEFAULT_SEED):
+        rpt = analyze(parse_graph_spec(spec), options)
+        js = report_to_json(rpt)
+        assert js == json.dumps(report_to_dict(rpt), indent=2), spec
+        assert hashlib.sha256(js.encode()).hexdigest() == digests[spec], spec
+
+
+def assert_writes_as_dumps(rpt):
+    """report_to_json gives json.dumps(report_to_dict(rpt), indent=2), or
+    raises TypeError where json.dumps does; so does each section alone."""
+    d = report_to_dict(rpt)
+    sections = json_sections(rpt)
+    for o, want in [(sections, d)] + [(sections[k], d[k]) for k in d]:
+        try:
+            text = json.dumps(want, indent=2)
+        except TypeError:
+            with pytest.raises(TypeError):
+                to_json(o)
+        else:
+            assert to_json(o) == text
+
+
+@pytest.mark.parametrize("entry", [True, False, 2, -1, 10 ** 30, 1.0,
+                                   np.int64(1)])
+def test_scheme_class_entry_not_a_bit(petersen, entry):
+    """A scheme class entry other than the int 0 or 1 goes to the generic
+    writer, which writes it as json.dumps does or raises TypeError."""
+    rpt = analyze(petersen)
+    classes = [[list(row) for row in m] for m in rpt.scheme.classes]
+    classes[1][3][4] = entry
+    rpt.scheme = dataclasses.replace(rpt.scheme, classes=tuple(classes))
+    assert_writes_as_dumps(rpt)
+
+
+def test_big_walk_count(petersen):
+    """A walk count past 2^64 is written whole, as a decimal string."""
+    rpt = analyze(petersen)
+    pp = rpt.quotient.partition
+    vectors = list(pp.class_walk_vectors)
+    vectors[2] = vectors[2][:-1] + (2 ** 64 + 1,)
+    rpt.quotient.partition = dataclasses.replace(
+        pp, class_walk_vectors=tuple(vectors))
+    assert f'"{2 ** 64 + 1}"' in report_to_json(rpt)
+    assert_writes_as_dumps(rpt)
+
+
+def test_empty_partition_lists(petersen):
+    """An empty class, as report_from_dict reads it from "pairs": [], or an
+    empty walk vector, neither of which analyze makes, is written as
+    json.dumps writes it."""
+    d = report_to_dict(analyze(petersen))
+    d["partition"]["classes"].append({"walk_vector": ["0", "0", "5"],
+                                      "pairs": []})
+    rpt = report_from_dict(d)
+    assert_writes_as_dumps(rpt)
+    pp = rpt.quotient.partition
+    rpt.quotient.partition = dataclasses.replace(
+        pp, class_walk_vectors=pp.class_walk_vectors[:-1] + ((),))
+    assert_writes_as_dumps(rpt)
+
+
+@pytest.mark.parametrize("spec", ["graph6:@", "name:petersen", "name:y6",
+                                  "circulant:17:1,4"])
+def test_sections_at_root_and_report_depth(spec):
+    """The partition and scheme sections written alone at root depth, and
+    inside the report, are the bytes of json.dumps; `@` is the one-vertex
+    graph, whose scheme has the single class [[1]]."""
+    rpt = analyze(parse_graph_spec(spec))
+    assert_writes_as_dumps(rpt)
+    if spec == "graph6:@":
+        assert report_to_dict(rpt)["scheme"]["classes"] == [[1]]
 
 
 def test_json_round_trip_with_orbits():
