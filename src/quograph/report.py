@@ -228,10 +228,6 @@ def _flat(m) -> list:
     return [x for row in m for x in row]
 
 
-def _flat_classes(classes) -> list:
-    return [_flat(m) for m in classes]
-
-
 def _sections(report: Report, partition, scheme_classes) -> dict:
     """The report's sections, with the partition section and the scheme's
     class matrices made by the given functions."""
@@ -260,7 +256,8 @@ def _sections(report: Report, partition, scheme_classes) -> dict:
 def report_to_dict(report: Report) -> dict:
     """The plain-dict form; `json.dumps(report_to_dict(r), indent=2)` defines
     the JSON bytes."""
-    return _sections(report, _partition_dict, _flat_classes)
+    return _sections(report, _partition_dict,
+                     lambda classes: [_flat(m) for m in classes])
 
 
 def json_sections(report: Report) -> dict:
@@ -309,7 +306,8 @@ def _to_json(o, indent: str) -> str:
     """`json.dumps(o, indent=2)` for dicts with str keys, lists, tuples and
     scalars of exactly those types, written with `str.join`: with an indent,
     `json.dumps` runs its pure-Python encoder instead of the C one. List
-    items that are scalars are encoded inline, without a call."""
+    items that are scalars are encoded inline, without a call; an `_Encoded`
+    value is written by its encoder."""
     leaf = _LEAF_JSON.get(type(o))
     if leaf is not None:
         return leaf(o)
@@ -365,9 +363,9 @@ def _bits(m) -> str:
 
 
 def _scheme_classes_json(classes, indent: str) -> str:
-    """`_flat_classes(classes)` as `_to_json` writes it, without building it:
-    a 0/1 matrix is one join over its digit string; any other goes to the
-    generic writer."""
+    """`[_flat(m) for m in classes]` as `_to_json` writes it, without building
+    it: a 0/1 matrix is one join over its digit string; any other goes to
+    the generic writer."""
     inner = indent + "  "
     sep = ",\n" + inner + "  "
     return _block([_block([sep.join(bits)], inner) if (bits := _bits(m))
