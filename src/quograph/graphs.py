@@ -3,6 +3,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+
+import numpy as np
 
 from .errors import AnalysisError, GraphInputError
 
@@ -33,6 +37,16 @@ class Graph:
     def adjacency_matrix(self) -> list[list[int]]:
         return [[1 if v in self.neighbors[u] else 0 for v in range(self.n)]
                 for u in range(self.n)]
+
+    @cached_property
+    def neighbor_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The neighbours of 0, ..., n-1, each ascending, in one index
+        array, with n standing in for the neighbours of an isolated vertex,
+        and where the run of each vertex starts: the gather and the segments
+        of `partitions.walk_step`, built once per graph."""
+        runs = [sorted(nb) or [self.n] for nb in self.neighbors]
+        return (np.array([w for run in runs for w in run]),
+                np.array(list(accumulate(map(len, runs[:-1]), initial=0))))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Pairs (u,v) are grouped by their exact vector of walk counts
 (a_uv^(0), ..., a_uv^(d)), refined one power at a time; the classes
-J_0..J_r and their 0/1 matrices drive every later decision. Big-integer
-vectors are compared exactly, never hashed down to machine words.
+J_0..J_r and their 0/1 matrices drive every later decision. The powers
+are numpy arrays, int64 while no sum can overflow and Python ints past
+that; the walk counts are read back as Python ints and compared exactly,
+never through floats, hashes or residues.
 """
 from __future__ import annotations
 
@@ -12,8 +14,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+import numpy as np
+
 from .errors import ContractViolationError
-from .exact import Polynomial, identity
+from .exact import Polynomial
 from .graphs import DistanceData, Graph, require_connected
 
 
@@ -37,36 +41,52 @@ class Ladder:
         return len(self.basis_pairs)
 
 
-def walk_step(g: Graph, power):
-    """A P for the n x n matrix P: row u is the sum of the rows P[w] over
-    the neighbours w of u, O(n^2 k) Python-int additions, not an O(n^3)
-    product."""
-    return [list(map(sum, zip(*[power[w] for w in nb]))) if nb else [0] * g.n
-            for nb in g.neighbors]
+def walk_step(g: Graph, power: np.ndarray) -> np.ndarray:
+    """A P for the n x n integer array P: row u is the sum of the rows P[w]
+    over the neighbours w of u, one `np.add.reduceat` over the gathered
+    rows, O(n^2 k) additions and not an O(n^3) product. A vertex with no
+    neighbours points at an appended zero row.
+
+    Exact in every case: each entry of A P sums at most k_max entries of P,
+    so int64 cannot overflow while max |P| * k_max < 2^63. Past that bound
+    P is cast to an object array of Python ints, and A P stays one."""
+    flat, starts = g.neighbor_runs
+    if power.dtype != object:
+        top = max(int(power.max()), -int(power.min()))
+        if top * max(map(len, g.neighbors)) >= 1 << 63:
+            power = power.astype(object)
+    rows = np.concatenate([power, np.zeros((1, g.n), power.dtype)])
+    return np.add.reduceat(rows[flat], starts, axis=0)
 
 
 def adjacency_power_ladder(g: Graph) -> Ladder:
     """The walk classes of I, A, ..., A^d, where d+1 is the adjacency
     algebra dimension.
 
-    One pass per power, all in Python integers, holding one power at a time:
-    - A^(l+1) is `walk_step` of A^l;
+    One pass per power, holding one power at a time:
+    - A^(l+1) is `walk_step` of A^l, a numpy array, exact in int64 or in
+      Python ints;
     - the pair classes are refined by the key (class, new entry), as in
-      1-WL colour refinement, so every power so far is constant on them;
+      1-WL colour refinement, so every power so far is constant on them.
+      Every A^l is symmetric, so only the pairs u <= v are refined, in
+      row-major order, and their classes are copied to (v, u) at the end;
+      the first pair of each class has u <= v, so the class ids are those
+      of a refinement of all n^2 pairs;
     - the new power is tested against the span of the earlier ones on the
-      classes alone, with the basis block kept as adj = det * B^-1 and
-      bordered by one row and column per new power (fraction-free, after
-      Bareiss). The first dependent power A^(d+1) ends the ladder, and its
-      coordinates give the minimal polynomial.
+      classes alone, in Python integers, with the basis block kept as
+      adj = det * B^-1 and bordered by one row and column per new power
+      (fraction-free, after Bareiss). The first dependent power A^(d+1)
+      ends the ladder, and its coordinates give the minimal polynomial.
     """
     n = g.n
-    cur = identity(n)
-    ids = [0] * (n * n)       # every power so far is constant on each class
+    upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
+    cur = np.eye(n, dtype=np.int64)
+    ids = [0] * len(upper)    # every power so far is constant on each class
     vectors = [()]            # class -> its entries in the powers so far
-    basis: list[int] = []     # pairs whose walk vectors are the rows of B
+    basis: list[int] = []     # positions in upper of the rows of B
     adj, det = [], 1
     while True:
-        vals = [x for row in cur for x in row]
+        vals = cur.ravel()[upper].tolist()
         b = [vals[p] for p in basis]
         y = [sum(a * x for a, x in zip(row, b)) for row in adj]  # det B^-1 b
         keys: dict[tuple, int] = {}
@@ -77,7 +97,12 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
             if t:
                 break
         else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
-            return Ladder(tuple(ids), tuple(vectors), tuple(basis),
+            full = np.zeros(n * n, dtype=np.int64)
+            full[upper] = ids
+            full = full.reshape(n, n)  # zero below the diagonal
+            return Ladder(tuple((full | full.T).ravel().tolist()),
+                          tuple(vectors),
+                          tuple(upper[basis].tolist()),
                           tuple(map(tuple, adj)), det,
                           Polynomial.of([Fraction(-c, det) for c in y] + [1]))
         # border B with the row m_j, x_j and the column b: det' = t
@@ -170,10 +195,10 @@ def _ordered_partition(n: int, ids, vectors) -> PairPartition:
 
 def group_pairs(n: int, ladder) -> PairPartition:
     """Group all ordered pairs by exact equality of their entries in the
-    given powers [I, A, A^2, ...]."""
+    given powers [I, A, A^2, ...], each a list of n rows."""
     groups: dict[tuple[int, ...], int] = {}
-    ids = [groups.setdefault(tuple(p[u][v] for p in ladder), len(groups))
-           for u in range(n) for v in range(n)]
+    ids = [groups.setdefault(key, len(groups))
+           for key in zip(*([x for row in p for x in row] for p in ladder))]
     return _ordered_partition(n, ids, list(groups))
 
 

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ContractViolationError
 from .exact import Polynomial, identity, mat_mul, subset_ranks, transpose
 from .partitions import (PairPartition, WalkAlgebra, check_regular,
@@ -93,9 +95,10 @@ def extended_partition_stable(alg: WalkAlgebra) -> bool:
     """Debug witness: walk vectors extended to length 2d+1 refine nothing.
 
     I, A, ..., A^(2d) are built afresh, one `walk_step` each (O(d n^2 k)
-    work), and the pairs grouped by them must give the walk partition."""
-    powers = [identity(alg.g.n)]
+    work), and the pairs grouped by their exact entries, read back as
+    Python ints, must give the walk partition."""
+    powers = [np.eye(alg.g.n, dtype=np.int64)]
     for _ in range(2 * alg.d):
         powers.append(walk_step(alg.g, powers[-1]))
-    return (group_pairs(alg.g.n, powers).as_setpartition()
+    return (group_pairs(alg.g.n, [p.tolist() for p in powers]).as_setpartition()
             == alg.partition.as_setpartition())

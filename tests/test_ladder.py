@@ -4,11 +4,13 @@ of the basis block and the minimal polynomial."""
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from quograph import (Polynomial, WalkAlgebra, adjacency_power_ladder,
                       build_graph, mat_mul, parse_graph_spec, petersen_graph)
-from quograph.partitions import group_pairs
+from quograph.partitions import group_pairs, walk_step
 
 from oracles import (adjacency_power_ladder_reference, class_powers,
                      combine_powers)
@@ -38,6 +40,9 @@ def test_large_ladders_match_reference():
     for spec in workload_inputs("large", DEFAULT_SEED):
         g = parse_graph_spec(spec)
         assert ladder_off_classes(g) == adjacency_power_ladder_reference(g), spec
+    # its walk counts outgrow int64, so the object path of walk_step is run
+    lad = adjacency_power_ladder(parse_graph_spec("circulant:72:1,4"))
+    assert max(x.bit_length() for vec in lad.class_vectors for x in vec) > 63
 
 
 @st.composite
@@ -85,3 +90,29 @@ def test_ladder_of_single_vertex():
     lad = adjacency_power_ladder(g)
     assert ladder_off_classes(g) == [[[1]]] and len(lad) == 1
     assert lad.minimal_polynomial == Polynomial.of([0, 1])
+
+
+def neighbour_sums(g, power):
+    """A P in Python ints, row u the sum of the rows P[w], w ~ u."""
+    return [[sum(int(power[w][v]) for w in g.neighbors[u]) for v in range(g.n)]
+            for u in range(g.n)]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("over, dtype", [(0, np.int64), (1, object)])
+def test_walk_step_int64_bound(sign, over, dtype):
+    """int64 while max |P| * k_max < 2^63, Python ints from there on; vertex
+    4 has no neighbours and gets a zero row either way."""
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3)])  # k_max = 3
+    top = (2**63 - 1) // 3 + over
+    power = np.full((5, 5), sign * top, dtype=np.int64)
+    power[0] = sign * 7
+    step = walk_step(g, power)
+    assert step.dtype == dtype and step.shape == (5, 5)
+    assert step.tolist() == neighbour_sums(g, power)
+    assert step[0, 0] == sign * 3 * top and not any(step[4])
+
+
+def test_walk_step_of_single_vertex():
+    step = walk_step(build_graph(1, []), np.eye(1, dtype=np.int64))
+    assert step.dtype == np.int64 and step.tolist() == [[0]]
