@@ -13,7 +13,7 @@ from math import lcm
 import numpy as np
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
-from .exact import Polynomial, rank
+from .exact import Polynomial
 from .partitions import PairPartition, WalkAlgebra
 from .quotient import QuotientReport
 
@@ -100,15 +100,22 @@ class AssociationScheme:
 
 
 def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
-    """The scheme generated by a QP graph: classes are the J_i matrices,
-    p^k_ij = |{w : (u,w) in J_i, (w,v) in J_j}| counted at every pair (u,v)
-    of class k, and required to be the same for all of them: the first row
-    that meets class k sets p^k, and every pair is compared with it.
+    """The scheme generated by a QP graph: classes are the J_i matrices, and
+    p^k_ij = |{w : (0,w) in J_i, (w,v) in J_j}| counted at vertex 0, for the
+    first v with (0,v) in J_k.
 
-    One pass over u counts the class pairs (c(u,w), c(w,v)) for all v and w
-    with int64 `bincount`: O(n^3 + n^2 (d+1)^2) work whatever d is, and
-    O(n^2 + n (d+1)^2) memory per step. Counts are at most n, so they are
-    exact.
+    This is the pair-count definition of a scheme (Bannai and Ito 1984;
+    Brouwer, Cohen and Neumaier 1989), and on a QP graph one pair per class
+    is enough. `decide_quotient_polynomial` has verified p_k(A) = J_k, and
+    with disjoint supports and r = d the J_k are a basis of A(Gamma), which
+    is closed under products: J_i J_j = sum_k x_k J_k, so x_k is
+    (J_i J_j)[0, v] for any v with c(0,v) = k. Every class must meet vertex
+    0 (checked here, since the partition is passed in). With s = d+1 and
+    v_k the first v of class k, one int64 `bincount` over the keys
+    k s^2 + c(0,w) s + c(w,v_k) gives every p^k_ij: O(n^2 + n s + s^3)
+    work. Counts are at most n, so they are exact. The counts on the other
+    pairs of each class are not recounted; `scheme_via_solve`
+    (`--debug-checks`) checks J_i J_j = sum_k p^k_ij J_k at every pair.
     """
     if not rep.is_quotient_polynomial:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
@@ -124,26 +131,17 @@ def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
         raise ContractViolationError("class matrices do not sum to J")
     if not np.array_equal(c, c.T):
         raise ContractViolationError("class matrix not symmetric")
-    # key[w, v] = v s^2 + c(u,w) s + c(w,v): a count table row per v
-    base = c + np.arange(n, dtype=np.int64) * (s * s)
-    p = np.full((s, s * s), -1, dtype=np.int64)  # -1: class not seen yet
-    for u in range(n):
-        counts = np.bincount((base + c[u][:, None] * s).ravel(),
-                             minlength=n * s * s).reshape(n, s * s)
-        row = c[u]
-        new = p[row, 0] < 0
-        p[row[new]] = counts[new]
-        bad = np.argwhere(p[row] != counts)
-        if len(bad):
-            v, ij = bad[0]
-            i, j = divmod(int(ij), s)
-            raise ContractViolationError(
-                f"J_{i} J_{j} is not constant on class {row[v]}")
+    meets = c[0][:, None] == np.arange(s)  # meets[v, k]: c(0,v) = k
+    if not meets.any(axis=0).all():
+        raise ContractViolationError("some class misses vertex 0 on a QP graph")
+    first = meets.argmax(axis=0)  # the first v with c(0,v) = k
+    # keys[w, k] = k s^2 + c(0,w) s + c(w, first[k])
+    keys = c[:, first] + c[0][:, None] * s + np.arange(s) * (s * s)
+    p = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
     return AssociationScheme(
         classes=tuple((c == k).astype(np.int64).tolist() for k in range(s)),
         intersection_numbers=tuple(
-            tuple(tuple(r) for r in pk)
-            for pk in p.reshape(s, s, s).tolist()))
+            tuple(tuple(r) for r in pk) for pk in p.tolist()))
 
 
 def scheme_via_solve(scheme: AssociationScheme) -> bool:
@@ -153,9 +151,11 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
     The linear system J_i J_j = sum_k x_k J_k on the n^2 rows
     [J_0(u,v), ..., J_d(u,v)] has a solution exactly when this holds: once
     the 0/1 classes sum to J every row is a unit vector, so x_k is J_i J_j
-    read at any pair of class k. The
-    products are dense int64 matrix products (entries are at most n), an
-    algorithm independent of the pair count in `build_scheme`.
+    read at any pair of class k. `build_scheme` reads p^k_ij at one pair
+    per class, on vertex 0; checked at every pair, this is the witness that
+    the counts are the same on all pairs of each class. The products are
+    dense int64 matrix products (entries are at most n), an algorithm
+    independent of the pair count in `build_scheme`.
     """
     mats = np.array(scheme.classes, dtype=np.int64)
     if not (np.isin(mats, (0, 1)).all() and (mats.sum(axis=0) == 1).all()):
@@ -203,12 +203,39 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
 
 
 def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
-    """True iff the scheme classes span A(Gamma): each lies in A(Gamma), and
-    their polynomials, padded to degree d, have rank d+1. That is equal
-    spans, because p -> p(A) is injective on polynomials of degree <= d."""
-    polys = alg.membership(scheme.classes)
-    if polys is None:
+    """True iff the scheme classes span A(Gamma), decided by partitions: the
+    classes are 0/1 and partition V x V, that partition is the walk
+    partition (in any class order), and r = d.
+
+    Forward: a class in A(Gamma) is constant on the walk classes, so it is
+    a union of them; each A^l, lying in the span of the classes, is
+    constant on the scheme classes, so the scheme partition refines the
+    walk partition. The two partitions are therefore equal, and
+    r + 1 = dim A(Gamma) = d + 1. Backward: with r = d, M is square of rank
+    d+1, so every class-constant matrix lies in A(Gamma), and the r+1
+    disjoint classes span it.
+
+    Classes that are not 0/1, or do not partition V x V, read False even
+    where their span is A(Gamma) (2 J_1 in place of J_1, say). The classes
+    are read once, as bytes; the walk class and scheme class of each pair
+    are paired by one `bincount`, which must give a bijection.
+    """
+    pp = alg.partition
+    n, s = pp.n, len(scheme.classes)
+    try:
+        buf = b"".join(bytes(row) for m in scheme.classes for row in m)
+    except (TypeError, ValueError):  # an entry that is no int in 0..255
         return False
-    width = alg.d + 1
-    return rank([list(p.coeffs) + [0] * (width - len(p.coeffs))
-                 for p in polys]) == width
+    if len(buf) != s * n * n:
+        return False
+    mats = np.frombuffer(buf, dtype=np.uint8).reshape(s, n * n)
+    # entries are >= 0, so a sum of 1 at every pair makes 0/1 classes that
+    # partition V x V (numpy sums uint8 at full width: no wrap-around)
+    if not (mats.sum(axis=0) == 1).all():
+        return False
+    c = np.array(pp.class_index, dtype=np.int64).ravel()
+    met = np.bincount(c * s + mats.argmax(axis=0),
+                      minlength=(pp.r + 1) * s).reshape(pp.r + 1, s) > 0
+    # met[k, j]: some pair lies in walk class k and scheme class j
+    return bool((met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all()
+                and pp.r == alg.d)

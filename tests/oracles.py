@@ -4,7 +4,8 @@ the library takes (dense power products ranked on n^2-long rows, Horner on
 dense matrices, a per-vertex vector ladder, Gauss-Jordan mod p with
 inverses, a Fraction Gauss-Jordan solve of W B^T = W+, exact traces, every
 automorphism listed one by one, a greedy pair-by-pair grouping of the
-m-vectors), so a fault in the library's own path cannot hide in both."""
+m-vectors, scheme pair types counted at every vertex), so a fault in the
+library's own path cannot hide in both."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -373,6 +374,53 @@ def per_vertex_consistency(alg: WalkAlgebra, rep: QuotientReport) -> bool:
         if check_regular(g, lp) != rep.intersection_b:
             return False
     return True
+
+
+def build_scheme_every_u(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
+    """The scheme generated by a QP graph: classes are the J_i matrices,
+    p^k_ij = |{w : (u,w) in J_i, (w,v) in J_j}| counted at every pair (u,v)
+    of class k, and required to be the same for all of them: the first row
+    that meets class k sets p^k, and every pair is compared with it.
+
+    One pass over u counts the class pairs (c(u,w), c(w,v)) for all v and w
+    with int64 `bincount`: O(n^3 + n^2 (d+1)^2) work whatever d is, and
+    O(n^2 + n (d+1)^2) memory per step. Counts are at most n, so they are
+    exact.
+    """
+    if not rep.is_quotient_polynomial:
+        raise AnalysisError("only quotient-polynomial graphs generate a scheme")
+    n = pp.n
+    s = pp.r + 1
+    c = np.array(pp.class_index, dtype=np.int64)
+    if not np.array_equal(c == 0, np.eye(n, dtype=bool)):
+        raise ContractViolationError("J_0 != I on a QP graph")
+    # each pair lies in exactly one class 0..r iff the class matrices sum to J
+    sizes = [len(cls) for cls in pp.classes]
+    if (c.min() < 0 or c.max() >= s or sum(sizes) != n * n
+            or np.bincount(c.ravel(), minlength=s).tolist() != sizes):
+        raise ContractViolationError("class matrices do not sum to J")
+    if not np.array_equal(c, c.T):
+        raise ContractViolationError("class matrix not symmetric")
+    # key[w, v] = v s^2 + c(u,w) s + c(w,v): a count table row per v
+    base = c + np.arange(n, dtype=np.int64) * (s * s)
+    p = np.full((s, s * s), -1, dtype=np.int64)  # -1: class not seen yet
+    for u in range(n):
+        counts = np.bincount((base + c[u][:, None] * s).ravel(),
+                             minlength=n * s * s).reshape(n, s * s)
+        row = c[u]
+        new = p[row, 0] < 0
+        p[row[new]] = counts[new]
+        bad = np.argwhere(p[row] != counts)
+        if len(bad):
+            v, ij = bad[0]
+            i, j = divmod(int(ij), s)
+            raise ContractViolationError(
+                f"J_{i} J_{j} is not constant on class {row[v]}")
+    return AssociationScheme(
+        classes=tuple((c == k).astype(np.int64).tolist() for k in range(s)),
+        intersection_numbers=tuple(
+            tuple(tuple(r) for r in pk)
+            for pk in p.reshape(s, s, s).tolist()))
 
 
 def generates_scheme_check_reference(scheme: AssociationScheme,

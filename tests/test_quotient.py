@@ -143,7 +143,7 @@ def test_intersection_matrix_singular_w(y6):
 def test_readoff_matches_oracles(small_corpus, corpus_reports):
     """W, W+ and B read off the class walk matrix, mu and the neighbour
     count equal the per-vertex walk ladder and the Fraction solve of
-    W B^T = W+; scheme generation read as a membership question equals the
+    W B^T = W+; scheme generation read as partition equality equals the
     n^2-row span test, also on a scheme with two classes merged, which lies
     in A(Gamma) but spans too little. Runs on the QP graphs of the corpus
     and of the `large` benchmark inputs."""

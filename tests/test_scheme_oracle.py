@@ -1,10 +1,14 @@
-"""build_scheme's pair-type count against the J_i J_j products it replaced."""
+"""build_scheme's pair-type count at vertex 0 against the J_i J_j products
+and against the count at every vertex."""
+import sys
+from pathlib import Path
+
 from quograph import (WalkAlgebra, build_graph, circulant, cycle_graph,
-                      decide_quotient_polynomial, mat_mul)
+                      decide_quotient_polynomial, mat_mul, parse_graph_spec)
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import AssociationScheme, build_scheme
 
-from oracles import all_ones, class_matrix
+from oracles import all_ones, build_scheme_every_u, class_matrix
 
 
 def build_scheme_reference(rep, pp) -> AssociationScheme:
@@ -67,3 +71,29 @@ def test_larger_schemes_match_oracle():
         rep = decide_quotient_polynomial(WalkAlgebra.of(g))
         assert repr(build_scheme(rep, rep.partition)) == repr(
             build_scheme_reference(rep, rep.partition))
+
+
+def test_build_scheme_matches_every_u_count(corpus_reports):
+    """The scheme read off vertex 0 equals the pair types counted at every
+    vertex, which also requires each count to be constant on its class, on
+    every QP graph of the corpus, of the `large` and `witness` benchmark
+    inputs, on cycle:101 and on Q8."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, hypercube, workload_inputs
+    reps = [rpt.quotient for rpt in corpus_reports[0] if rpt.scheme is not None]
+    specs = (workload_inputs("large", DEFAULT_SEED)
+             + workload_inputs("witness", DEFAULT_SEED)
+             + ["name:cycle:101", "graph6:" + hypercube(8)])
+    reps += [decide_quotient_polynomial(WalkAlgebra.of(parse_graph_spec(spec)))
+             for spec in specs]
+    checked = []
+    for rep in reps:
+        if not rep.is_quotient_polynomial:
+            continue
+        # repr also tells Python ints from numpy scalars, which JSON rejects
+        assert repr(build_scheme(rep, rep.partition)) == repr(
+            build_scheme_every_u(rep, rep.partition))
+        checked.append((rep.partition.n, rep.d))
+    assert (256, 8) in checked and (101, 50) in checked  # Q8 and cycle:101
+    assert (128, 7) in checked and (41, 20) in checked  # Q7 and cycle:41

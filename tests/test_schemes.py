@@ -16,7 +16,8 @@ from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import (AssociationScheme, generates_scheme_check,
                               scheme_ring_check, scheme_via_solve)
 
-from oracles import distance_class_matrix
+from oracles import (adjacency_power_ladder_reference, class_matrix,
+                     distance_class_matrix, generates_scheme_check_reference)
 from worked_examples import Y6_DIST_POLYS
 
 
@@ -179,6 +180,53 @@ def test_scheme_not_generated_by_distance_power():
     assert generates_scheme_check(build_scheme(rep, rep.partition), alg)
 
 
+def test_generates_scheme_check_edge_cases(petersen):
+    """The partition test agrees with the n^2-row span test on a scheme
+    with two classes merged and an all-zero class, on a class holding a 2
+    or a -1, on reordered classes, and on the walk classes of a graph with
+    r > d. Classes that do not partition V x V read False even where they
+    span A(Gamma), as with 2 J_1 in place of J_1, and so do classes of the
+    wrong size."""
+    alg = WalkAlgebra.of(petersen)
+    rep = decide_quotient_polynomial(alg)
+    i_mat, a, rest = build_scheme(rep, rep.partition).classes
+    ladder = adjacency_power_ladder_reference(petersen)
+    v = a[0].index(1)
+    two, negative = [row[:] for row in a], [row[:] for row in rest]
+    two[0][v] = 2
+    negative[0][v] = -1
+    cases = [
+        ((i_mat, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, rest)],
+          [[0] * len(row) for row in a]), False),
+        ((i_mat, two, rest), False),
+        ((i_mat, a, negative), False),
+        ((rest, i_mat, a), True),
+    ]
+    for classes, want in cases:
+        s = AssociationScheme(classes=classes, intersection_numbers=())
+        assert generates_scheme_check(s, alg) is want
+        assert generates_scheme_check_reference(s, ladder) is want
+    doubled = AssociationScheme(
+        classes=(i_mat, [[2 * x for x in row] for row in a], rest),
+        intersection_numbers=())
+    assert generates_scheme_check_reference(doubled, ladder) is True
+    assert generates_scheme_check(doubled, alg) is False
+    short = AssociationScheme(classes=(i_mat, a, rest[:-1]),
+                              intersection_numbers=())
+    assert generates_scheme_check(short, alg) is False
+    # K_{1,3}'s walk classes, its own partition, but r = 3 > d = 2
+    star = star_graph(4)
+    alg = WalkAlgebra.of(star)
+    pp = alg.partition
+    walk = AssociationScheme(
+        classes=tuple(class_matrix(pp, i) for i in range(pp.r + 1)),
+        intersection_numbers=())
+    assert (pp.r, alg.d) == (3, 2)
+    assert generates_scheme_check(walk, alg) is False
+    assert generates_scheme_check_reference(
+        walk, adjacency_power_ladder_reference(star)) is False
+
+
 def _pair_partition(index):
     """A hand-built PairPartition with the given class of each pair."""
     n, s = len(index), max(map(max, index)) + 1
@@ -188,9 +236,9 @@ def _pair_partition(index):
 
 
 @pytest.mark.parametrize("index,message", [
-    # P4 by (diagonal, edge, non-edge): J_1 J_1 is 1 at (0,2), 0 at (0,3)
-    ([[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]],
-     "J_1 J_1 is not constant on class 2"),
+    # K_{1,3} by (diagonal, edge, non-edge): the centre 0 has no non-edge
+    ([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]],
+     "misses vertex 0"),
     ([[0, 1, 2], [2, 0, 1], [1, 2, 0]], "not symmetric"),  # directed C3
     ([[0, 0], [0, 1]], "J_0 != I"),
 ])
@@ -198,6 +246,17 @@ def test_build_scheme_rejects_partition(index, message):
     rep = decide_quotient_polynomial(WalkAlgebra.of(cycle_graph(5)))
     with pytest.raises(ContractViolationError, match=message):
         build_scheme(rep, _pair_partition(index))
+
+
+def test_build_scheme_p4_partition_fails_solve():
+    """P4 by (diagonal, edge, non-edge) is no scheme: J_1 J_1 is 1 at (0,2)
+    and 0 at (0,3), both non-edges. `build_scheme` reads p^k_ij at vertex 0
+    only, so it returns; the products at every pair reject the result."""
+    rep = decide_quotient_polynomial(WalkAlgebra.of(cycle_graph(5)))
+    s = build_scheme(rep, _pair_partition(
+        [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]))
+    assert s.intersection_numbers[2][1][1] == 1  # read at (0,2)
+    assert not scheme_via_solve(s)
 
 
 def test_scheme_via_solve_rejects_wrong_scheme(petersen):
@@ -217,9 +276,10 @@ def test_scheme_via_solve_rejects_wrong_scheme(petersen):
 
 
 def test_distance_polynomials_solved_once(petersen, monkeypatch):
-    """With D = d the distance and Delsarte tests share one distance solve.
-    Petersen's distance columns equal its class columns, so each
-    class_polynomials call is told apart by the function that makes it."""
+    """With D = d the distance and Delsarte tests share one distance solve,
+    and scheme generation solves nothing. Petersen's distance columns equal
+    its class columns, so each class_polynomials call is told apart by the
+    function that makes it."""
     callers = []
     class_polynomials = WalkAlgebra.class_polynomials
 
@@ -231,7 +291,7 @@ def test_distance_polynomials_solved_once(petersen, monkeypatch):
     rpt = analyze(petersen)
     assert rpt.flags.distance_regular and rpt.flags.distance_polynomial
     assert sorted(callers) == [
-        "decide_quotient_polynomial", "distance_polynomials", "membership"]
+        "decide_quotient_polynomial", "distance_polynomials"]
 
 
 def test_scheme_ring_check(petersen, circ17):
