@@ -164,8 +164,25 @@ class PairPartition:
     def diagonal_is_identity(self) -> bool:
         return len(self.diagonal_classes) == 1 and len(self.classes[0]) == self.n
 
+    @cached_property
+    def class_distances(self) -> tuple[int, ...]:
+        """The distance of each class: the first nonzero entry of its walk
+        vector, since a^(l)_uv = 0 for l < dist(u,v) and is positive at
+        l = dist(u,v). Computed once per partition."""
+        return tuple(map(_first_nonzero, self.class_walk_vectors))
+
     def class_distance(self, i: int) -> int:
-        return _first_nonzero(self.class_walk_vectors[i])
+        return self.class_distances[i]
+
+    @cached_property
+    def flat_index(self) -> np.ndarray:
+        """`class_index` as one read-only int64 array of length n^2, pair
+        (u,v) at u*n+v; built once per partition. Not a field, so equality
+        and `dataclasses.replace` see only `class_index`."""
+        flat = np.fromiter((i for row in self.class_index for i in row),
+                           dtype=np.int64, count=self.n * self.n)
+        flat.flags.writeable = False
+        return flat
 
     def as_setpartition(self) -> frozenset[frozenset[tuple[int, int]]]:
         return frozenset(frozenset(c) for c in self.classes)
@@ -245,10 +262,16 @@ class WalkAlgebra:
     def distance_polynomials(self) -> tuple[Polynomial, ...] | None:
         """The D+1 polynomials p_i with p_i(A) = A_i, the distance-i matrix,
         or None when some A_i lies outside A(Gamma); computed once per graph.
-        The walk vector fixes the distance, so A_i is 1 on the classes at
-        distance i and 0 on the others."""
-        pp = self.partition
-        dist = [pp.class_distance(k) for k in range(pp.r + 1)]
+
+        A graph that is not regular has none, and returns None unsolved: if
+        every A_i lies in A(Gamma), so does J = sum_i A_i, and then AJ = JA;
+        (AJ)[u][v] = k_u and (JA)[u][v] = k_v, so all degrees are equal
+        (Hoffman 1963). On a regular graph the walk vector fixes the
+        distance, so A_i is 1 on the classes at distance i and 0 on the
+        others, and the D+1 columns are solved."""
+        if not self.g.is_regular():
+            return None
+        dist = self.partition.class_distances
         polys = self.class_polynomials(
             [[int(x == i) for x in dist] for i in range(self.dd.diameter + 1)])
         return None if polys is None else tuple(polys)

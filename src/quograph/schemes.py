@@ -40,12 +40,17 @@ def is_h_punctually_walk_regular(alg: WalkAlgebra, h: int) -> bool:
     pp, diameter = alg.partition, alg.dd.diameter
     if not (0 <= h <= diameter):
         raise GraphInputError(f"distance {h} outside 0..{diameter}")
-    return [pp.class_distance(i) for i in range(pp.r + 1)].count(h) == 1
+    return pp.class_distances.count(h) == 1
 
 
 def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
     """QP with D = r; independently re-derived via Delsarte's criterion
-    (A_i = p_i(A) with deg p_i = i for all i, which forces D = d)."""
+    (A_i = p_i(A) with deg p_i = i for all i, which forces D = d).
+
+    On a graph that is not regular, `distance_polynomials` is None without
+    a solve, so Delsarte reads False; D = r reads False there too, a QP
+    graph being walk-regular. Wherever both can be True the graph is
+    regular, and the Delsarte half is the full distance solve."""
     diameter = alg.dd.diameter
     primary = rep.is_quotient_polynomial and diameter == rep.r
     delsarte = False
@@ -72,7 +77,7 @@ def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
     if not rep.is_quotient_polynomial:
         raise AnalysisError("qp_implies_dp needs a quotient-polynomial graph")
     pp = rep.partition
-    dist = [pp.class_distance(j) for j in range(pp.r + 1)]
+    dist = pp.class_distances
     out = []
     for i in range(alg.dd.diameter + 1):
         p = Polynomial.of([0])
@@ -121,7 +126,7 @@ def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
     n = pp.n
     s = pp.r + 1
-    c = np.array(pp.class_index, dtype=np.int64)
+    c = pp.flat_index.reshape(n, n)
     if not np.array_equal(c == 0, np.eye(n, dtype=bool)):
         raise ContractViolationError("J_0 != I on a QP graph")
     # each pair lies in exactly one class 0..r iff the class matrices sum to J
@@ -233,7 +238,7 @@ def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     # partition V x V (numpy sums uint8 at full width: no wrap-around)
     if not (mats.sum(axis=0) == 1).all():
         return False
-    c = np.array(pp.class_index, dtype=np.int64).ravel()
+    c = pp.flat_index
     met = np.bincount(c * s + mats.argmax(axis=0),
                       minlength=(pp.r + 1) * s).reshape(pp.r + 1, s) > 0
     # met[k, j]: some pair lies in walk class k and scheme class j

@@ -86,7 +86,7 @@ def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
     """
     n = pp.n
     flat = np.stack(sd.idempotents, axis=-1).reshape(n * n, -1)
-    ids = np.array(pp.class_index, dtype=np.intp).reshape(-1)
+    ids = pp.flat_index
     first = np.array([u * n + v for u, v in map(min, pp.classes)])  # f(C)
     own = first[ids]
     dist = flat[own]

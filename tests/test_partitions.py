@@ -1,10 +1,15 @@
 """Walk vectors, the global pair partition, and local partitions."""
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
+import pytest
 
 from quograph import (WalkAlgebra, adjacency_power_ladder, build_graph,
                       check_regular, circulant, complete_graph, cycle_graph,
                       distances, global_partition, local_partition,
-                      path_graph, prism_y6)
+                      parse_graph_spec, path_graph, prism_y6)
 from quograph.partitions import LocalPartition
 
 from oracles import class_matrix, is_distance_faithful, walk_vectors
@@ -65,12 +70,44 @@ def test_class_matrices_sum_to_j_and_are_symmetric(circ17):
     assert total == [[1] * n for _ in range(n)]
 
 
-def test_class_distance_is_first_nonzero(circ17):
+def test_class_distance_is_first_nonzero(circ17, small_corpus, corpus_reports):
+    """class_distances[c(u,v)] is the BFS distance of (u,v) at every pair of
+    circ17, the corpus and the `large` benchmark inputs; the distance,
+    h-punctual and qp_implies_dp classifiers all read it."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    pairs = [(circ17, global_partition(circ17))]
+    pairs += [(g, r.quotient.partition)
+              for g, r in zip(small_corpus, corpus_reports[0])]
+    pairs += [(g, global_partition(g)) for g in
+              map(parse_graph_spec, workload_inputs("large", DEFAULT_SEED))]
+    for g, pp in pairs:
+        dist = pp.class_distances
+        assert len(dist) == pp.r + 1
+        assert all(dist[i] == next(l for l, x in enumerate(vec) if x)
+                   for i, vec in enumerate(pp.class_walk_vectors))
+        for u, row in enumerate(distances(g).dist):
+            assert [pp.class_distance(i) for i in pp.class_index[u]] == list(row)
+    assert len(pairs) == 1 + 1196 + 4
+
+
+def test_flat_index_is_a_read_only_class_index(circ17):
+    """flat_index is class_index flattened row-major, int64, built once and
+    read-only; it is no field, so equality and replace ignore it."""
     pp = global_partition(circ17)
-    dd = distances(circ17)
-    for i, cls in enumerate(pp.classes):
-        for u, v in cls:
-            assert dd.dist[u][v] == pp.class_distance(i)
+    flat = pp.flat_index
+    assert flat.dtype == np.int64 and flat.shape == (pp.n * pp.n,)
+    assert flat.tolist() == [i for row in pp.class_index for i in row]
+    assert pp.flat_index is flat
+    assert not flat.flags.writeable
+    with pytest.raises(ValueError):
+        flat[0] = 1
+    other = global_partition(circ17)
+    assert other == pp and hash(other) == hash(pp)
+    copy = dataclasses.replace(pp)
+    assert copy == pp and "flat_index" not in vars(copy)
+    assert copy.flat_index.tolist() == flat.tolist()
 
 
 def test_local_partition_cells(circ17):

@@ -10,8 +10,8 @@ from quograph import (PairPartition, Polynomial, WalkAlgebra, analyze,
                       decide_quotient_polynomial, global_partition,
                       is_distance_polynomial, is_distance_regular,
                       is_h_punctually_walk_regular, is_walk_regular,
-                      path_graph, petersen_graph, prism_y6, qp_implies_dp,
-                      star_graph)
+                      parse_graph_spec, path_graph, petersen_graph, prism_y6,
+                      qp_implies_dp, star_graph)
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import (AssociationScheme, generates_scheme_check,
                               scheme_ring_check, scheme_via_solve)
@@ -67,6 +67,11 @@ def test_distance_regular():
     alg = WalkAlgebra.of(circulant(17, {1, 4}))
     # QP with D = 3 < r = 4
     assert not is_distance_regular(alg, decide_quotient_polynomial(alg))
+    # not regular, with D = d: the Delsarte half reads the regularity gate
+    for g in [path_graph(4), path_graph(5)]:
+        alg = WalkAlgebra.of(g)
+        assert alg.dd.diameter == alg.d
+        assert not is_distance_regular(alg, decide_quotient_polynomial(alg))
 
 
 def test_distance_polynomial_y6(y6):
@@ -275,11 +280,10 @@ def test_scheme_via_solve_rejects_wrong_scheme(petersen):
         classes=tuple(overlap), intersection_numbers=s.intersection_numbers))
 
 
-def test_distance_polynomials_solved_once(petersen, monkeypatch):
-    """With D = d the distance and Delsarte tests share one distance solve,
-    and scheme generation solves nothing. Petersen's distance columns equal
-    its class columns, so each class_polynomials call is told apart by the
-    function that makes it."""
+@pytest.fixture
+def solve_callers(monkeypatch):
+    """The name of the function behind each WalkAlgebra.class_polynomials
+    call, in call order."""
     callers = []
     class_polynomials = WalkAlgebra.class_polynomials
 
@@ -288,10 +292,38 @@ def test_distance_polynomials_solved_once(petersen, monkeypatch):
         return class_polynomials(alg, columns)
 
     monkeypatch.setattr(WalkAlgebra, "class_polynomials", counted)
+    return callers
+
+
+def test_distance_polynomials_solved_once(petersen, solve_callers):
+    """With D = d the distance and Delsarte tests share one distance solve,
+    and scheme generation solves nothing. Petersen's distance columns equal
+    its class columns, so each class_polynomials call is told apart by the
+    function that makes it."""
     rpt = analyze(petersen)
     assert rpt.flags.distance_regular and rpt.flags.distance_polynomial
-    assert sorted(callers) == [
+    assert sorted(solve_callers) == [
         "decide_quotient_polynomial", "distance_polynomials"]
+
+
+def test_distance_polynomials_gated_by_regularity(small_corpus, solve_callers):
+    """A graph that is not regular has no distance polynomials (J = sum A_i
+    would commute with A), so analyze solves no class column for it: P4, and
+    a non-regular random corpus graph, are not QP either. circulant:18:1,4
+    is regular, with D = 3 < d = 8 and not QP: its distance columns are
+    solved once, and do not lie in A(Gamma)."""
+    irregular = next(g for g in small_corpus if g.n > 7 and not g.is_regular())
+    for g in [parse_graph_spec("name:path:4"), irregular]:
+        rpt = analyze(g)
+        assert not rpt.flags.distance_polynomial
+        assert rpt.flags.distance_polys is None
+        assert solve_callers == []
+    g = parse_graph_spec("circulant:18:1,4")
+    rpt = analyze(g)
+    assert g.is_regular() and (rpt.diameter, rpt.quotient.d) == (3, 8)
+    assert not rpt.flags.quotient_polynomial
+    assert rpt.flags.distance_polys is None
+    assert solve_callers == ["distance_polynomials"]
 
 
 def test_scheme_ring_check(petersen, circ17):
