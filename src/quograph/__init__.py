@@ -3,7 +3,7 @@ association schemes generated by quotient-polynomial graphs."""
 
 from .errors import (AnalysisError, ContractViolationError, GraphInputError,
                      QuographError, SizeLimitError, ToleranceError)
-from .exact import Polynomial, frac_str, mat_mul, rank
+from .exact import Polynomial, frac_str, rank
 from .graphs import (DistanceData, Graph, build_graph, circulant,
                      complete_graph, cycle_graph, distances, path_graph,
                      petersen_graph, prism_y6, star_graph)

@@ -100,8 +100,8 @@ def cmd_partition(args) -> int:
     else:
         pp = report.quotient.partition
         print(f"{pp.r + 1} classes (r = {pp.r})")
-        for i, (vec, cls) in enumerate(zip(pp.class_walk_vectors, pp.classes)):
-            print(f"J{i}: walk vector {list(vec)}, {len(cls)} pairs")
+        for i, (vec, size) in enumerate(zip(pp.class_walk_vectors, pp.class_sizes)):
+            print(f"J{i}: walk vector {list(vec)}, {size} pairs")
     return 0
 
 

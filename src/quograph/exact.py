@@ -2,7 +2,7 @@
 
 Matrices are plain nested lists; integer matrices hold Python ints (unbounded,
 walk counts grow like k^l), rational ones hold Fractions in lowest terms.
-This module holds the exact kernels (products, rank, polynomials) that the
+This module holds the exact kernels (rank, polynomials) that the
 classification decisions use next to the walk algebra in partitions.py,
 which reads every power A^l off the walk classes rather than keep it as an
 n x n matrix; no decision is a tolerance call. `subset_ranks` ranks a batch
@@ -18,27 +18,12 @@ from math import gcd
 
 import numpy as np
 
-from .errors import GraphInputError
-
 IntMatrix = list  # list[list[int]]
 RatMatrix = list  # list[list[Fraction]]
 
 
 def identity(n: int) -> IntMatrix:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def transpose(m):
-    return [list(row) for row in zip(*m)]
-
-
-def mat_mul(a, b):
-    """Exact matrix product; entries may be ints or Fractions."""
-    if len(a[0]) != len(b):
-        raise GraphInputError(
-            f"dimension mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 class RowBasis:

@@ -2,10 +2,10 @@
 
 Pairs (u,v) are grouped by their exact vector of walk counts
 (a_uv^(0), ..., a_uv^(d)), refined one power at a time; the classes
-J_0..J_r and their 0/1 matrices drive every later decision. The powers
-are numpy arrays, int64 while no sum can overflow and Python ints past
-that; the walk counts are read back as Python ints and compared exactly,
-never through floats, hashes or residues.
+J_0..J_r, held as one class label per pair, drive every later decision.
+The powers are numpy arrays, int64 while no sum can overflow and Python
+ints past that; the walk counts are read back as Python ints and compared
+exactly, never through floats, hashes or residues.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ContractViolationError
+from .errors import ContractViolationError, GraphInputError
 from .exact import Polynomial
 from .graphs import DistanceData, Graph, require_connected
 
@@ -132,37 +132,41 @@ def _first_nonzero(vec) -> int:
 
 @dataclass(frozen=True)
 class PairPartition:
-    """The partition {J_0,...,J_r} of V x V by walk-vector equality.
-
-    Class 0 holds the diagonal pairs; remaining classes are ordered by
-    (common distance, then descending walk vector) so output is reproducible.
-    """
+    """The partition {J_0,...,J_r} of V x V by walk-vector equality, held
+    once: pair (u,v) is in class class_ids[u*n+v], as in `Ladder`. Class
+    sizes, first pairs, rows and pair lists are all read off this labelling.
+    Diagonal classes come first, then the others by (distance, descending
+    walk vector), so output is reproducible."""
 
     n: int
-    classes: tuple[tuple[tuple[int, int], ...], ...]
+    class_ids: tuple[int, ...]  # pair u*n+v -> class
     class_walk_vectors: tuple[tuple[int, ...], ...]
-    class_index: tuple[tuple[int, ...], ...]  # (u,v) -> class id
-    diagonal_classes: tuple[int, ...]
 
     @staticmethod
     def of(n: int, vectors, classes) -> PairPartition:
-        """The partition with these class walk vectors and pair classes; the
-        pair index and the diagonal classes (a^(0) = 1) are derived."""
-        index = [[0] * n for _ in range(n)]
-        for i, cls in enumerate(classes):
+        """The partition with these walk vectors and pair lists, which must
+        partition V x V; a class may be empty. Raises GraphInputError."""
+        ids = [-1] * (n * n)
+        for k, cls in enumerate(classes):
             for u, v in cls:
-                index[u][v] = i
-        return PairPartition(n, tuple(classes), tuple(vectors),
-                             tuple(tuple(row) for row in index),
-                             tuple(i for i, v in enumerate(vectors) if v[0] == 1))
+                if not (0 <= u < n and 0 <= v < n):
+                    raise GraphInputError(f"pair ({u}, {v}) lies outside V x V")
+                if ids[u * n + v] >= 0:
+                    raise GraphInputError(f"pair ({u}, {v}) is listed in "
+                                          f"classes {ids[u * n + v]} and {k}")
+                ids[u * n + v] = k
+        if -1 in ids:
+            raise GraphInputError(f"pair {divmod(ids.index(-1), n)} is in no class")
+        return PairPartition(n, tuple(ids), tuple(vectors))
 
     @property
     def r(self) -> int:
-        return len(self.classes) - 1
+        return len(self.class_walk_vectors) - 1
 
     @property
     def diagonal_is_identity(self) -> bool:
-        return len(self.diagonal_classes) == 1 and len(self.classes[0]) == self.n
+        return (set(self.class_ids[::self.n + 1]) == {0}
+                and self.class_sizes[0] == self.n)
 
     @cached_property
     def class_distances(self) -> tuple[int, ...]:
@@ -171,21 +175,35 @@ class PairPartition:
         l = dist(u,v). Computed once per partition."""
         return tuple(map(_first_nonzero, self.class_walk_vectors))
 
-    def class_distance(self, i: int) -> int:
-        return self.class_distances[i]
-
     @cached_property
     def flat_index(self) -> np.ndarray:
-        """`class_index` as one read-only int64 array of length n^2, pair
-        (u,v) at u*n+v; built once per partition. Not a field, so equality
-        and `dataclasses.replace` see only `class_index`."""
-        flat = np.fromiter((i for row in self.class_index for i in row),
-                           dtype=np.int64, count=self.n * self.n)
+        """`class_ids` as a read-only int64 array, built once; no field, so
+        equality and `dataclasses.replace` see only `class_ids`."""
+        flat = np.array(self.class_ids, dtype=np.int64)
         flat.flags.writeable = False
         return flat
 
-    def as_setpartition(self) -> frozenset[frozenset[tuple[int, int]]]:
-        return frozenset(frozenset(c) for c in self.classes)
+    @cached_property
+    def class_sizes(self) -> tuple[int, ...]:
+        """|J_0|, ..., |J_r|: one `bincount` of the flat index."""
+        return tuple(np.bincount(self.flat_index,
+                                 minlength=self.r + 1).tolist())
+
+    @cached_property
+    def class_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (members, bounds): class k's pairs u*n+v, ascending, are
+        members[bounds[k]:bounds[k+1]]; the one derivation of the pair lists."""
+        members = np.argsort(self.flat_index, kind="stable")
+        bounds = np.concatenate(([0], np.cumsum(self.class_sizes)))
+        members.flags.writeable = bounds.flags.writeable = False
+        return members, bounds
+
+
+def same_partition(a, na: int, b, nb: int) -> bool:
+    """The integer labellings a (0..na-1) and b (0..nb-1) of the same pairs
+    give one partition: the label pairs met (one `bincount`) are a bijection."""
+    met = np.bincount(a * nb + b, minlength=na * nb).reshape(na, nb) > 0
+    return bool((met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all())
 
 
 def _class_order(v: tuple[int, ...]):
@@ -197,26 +215,12 @@ def _class_order(v: tuple[int, ...]):
 
 
 def _ordered_partition(n: int, ids, vectors) -> PairPartition:
-    """The partition whose pair u*n+v lies in class ids[u*n+v], with walk
-    vector vectors[ids[u*n+v]]; classes in `_class_order`, pairs row-major."""
+    """The pairs u*n+v labelled ids[u*n+v], with walk vectors vectors[ids],
+    relabelled place[ids] into `_class_order`; no pair list is built."""
     order = sorted(range(len(vectors)), key=lambda k: _class_order(vectors[k]))
-    place = [0] * len(vectors)
-    for i, k in enumerate(order):
-        place[k] = i
-    classes: list[list[tuple[int, int]]] = [[] for _ in order]
-    for p, k in enumerate(ids):
-        classes[place[k]].append(divmod(p, n))
-    return PairPartition.of(n, [vectors[k] for k in order],
-                            [tuple(c) for c in classes])
-
-
-def group_pairs(n: int, ladder) -> PairPartition:
-    """Group all ordered pairs by exact equality of their entries in the
-    given powers [I, A, A^2, ...], each a list of n rows."""
-    groups: dict[tuple[int, ...], int] = {}
-    ids = [groups.setdefault(key, len(groups))
-           for key in zip(*([x for row in p for x in row] for p in ladder))]
-    return _ordered_partition(n, ids, list(groups))
+    place = {k: i for i, k in enumerate(order)}
+    return PairPartition(n, tuple(map(place.__getitem__, ids)),
+                         tuple(vectors[k] for k in order))
 
 
 @dataclass(frozen=True)
@@ -246,7 +250,7 @@ class WalkAlgebra:
         dd = require_connected(g)
         lad = adjacency_power_ladder(g)
         pp = _ordered_partition(g.n, lad.class_ids, lad.class_vectors)
-        rows = tuple(pp.class_index[p // g.n][p % g.n] for p in lad.basis_pairs)
+        rows = tuple(pp.class_ids[p] for p in lad.basis_pairs)
         return WalkAlgebra(g, dd, pp, rows, lad.adj, lad.det,
                            lad.minimal_polynomial)
 
@@ -288,14 +292,15 @@ class WalkAlgebra:
     def membership(self, targets) -> list[Polynomial] | None:
         """The polynomials p with p(A) = T and deg p <= d, one per n x n
         target T, or None when some target lies outside A(Gamma)."""
+        ids = self.partition.class_ids
+        members, bounds = self.partition.class_members
+        first = members[bounds[:-1]].tolist()  # classes are never empty
         columns = []
         for t in targets:
-            col = []
-            for cls in self.partition.classes:
-                vals = {t[u][v] for u, v in cls}
-                if len(vals) != 1:
-                    return None  # an orbit, say, can split a walk class
-                col.append(vals.pop())
+            flat = [x for row in t for x in row]
+            col = [flat[p] for p in first]
+            if list(map(col.__getitem__, ids)) != flat:
+                return None  # an orbit, say, can split a walk class
             columns.append(col)
         return self.class_polynomials(columns)
 
@@ -346,7 +351,7 @@ class LocalPartition:
 def local_partition(pp: PairPartition, u: int) -> LocalPartition:
     """Cells in class order, vertices ascending; one row of the pair index."""
     cells: dict[int, list[int]] = {}
-    for v, i in enumerate(pp.class_index[u]):
+    for v, i in enumerate(pp.class_ids[u * pp.n:(u + 1) * pp.n]):
         cells.setdefault(i, []).append(v)
     ids = sorted(cells)
     return LocalPartition(center=u, cells=tuple(tuple(cells[i]) for i in ids),

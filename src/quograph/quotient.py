@@ -11,9 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .exact import Polynomial, identity, mat_mul, subset_ranks, transpose
+from .exact import Polynomial, identity, subset_ranks
 from .partitions import (PairPartition, WalkAlgebra, check_regular,
-                         group_pairs, local_partition, walk_step)
+                         local_partition, same_partition, walk_step)
 
 
 @dataclass
@@ -45,11 +45,12 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     # rank mod p only where it reaches min(#classes at u, d+1), which bounds
     # the rank over Q, and ranks every other over Q. The tests compare every
     # d_u with an oracle that ranks e_u, A e_u, A^2 e_u, ... directly.
-    ids = pp.diagonal_classes
+    n, diag = g.n, pp.class_ids[::g.n + 1]  # c(u,u)
+    ids = sorted(set(diag))
     # the classes meeting the first vertex of each diagonal class
-    meeting = [sorted(set(pp.class_index[pp.classes[i][0][0]])) for i in ids]
+    meeting = [sorted(set(pp.class_ids[u * n:(u + 1) * n]))
+               for u in map(diag.index, ids)]
     rank_of = dict(zip(ids, subset_ranks(pp.class_walk_vectors, meeting)))
-    diag = map(tuple.__getitem__, pp.class_index, range(g.n))  # c(u,u)
     rep = QuotientReport(
         d=d, r=r, diameter=alg.dd.diameter,
         is_quotient_polynomial=(r == d),
@@ -77,9 +78,11 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     w_plus = w[1:] + [[-sum(c * x for c, x in zip(mu, col)) for col in alg.m]]
     # W = M^T is nonsingular (r = d and M has rank d+1), so W B^T = W+ for the
     # neighbour count B says B^T = W^-1 W+ and that it is a non-negative
-    # integer matrix
+    # integer matrix; W B^T runs over the nonzeros of B, at most k a row
     b = check_regular(g, lp0)
-    if b is None or mat_mul(w, transpose(b)) != w_plus:
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b or ()]
+    if b is None or [[sum(x * wl[j] for j, x in nz) for nz in nonzero]
+                     for wl in w] != w_plus:
         raise ContractViolationError(
             "W^-1 W+ disagrees with direct neighbor counting")
 
@@ -95,10 +98,13 @@ def extended_partition_stable(alg: WalkAlgebra) -> bool:
     """Debug witness: walk vectors extended to length 2d+1 refine nothing.
 
     I, A, ..., A^(2d) are built afresh, one `walk_step` each (O(d n^2 k)
-    work), and the pairs grouped by their exact entries, read back as
-    Python ints, must give the walk partition."""
+    work), and the pairs labelled by their exact entries, read back as
+    Python ints, must give the walk partition, in any class order."""
     powers = [np.eye(alg.g.n, dtype=np.int64)]
     for _ in range(2 * alg.d):
         powers.append(walk_step(alg.g, powers[-1]))
-    return (group_pairs(alg.g.n, [p.tolist() for p in powers]).as_setpartition()
-            == alg.partition.as_setpartition())
+    groups: dict[tuple[int, ...], int] = {}
+    ext = np.array([groups.setdefault(key, len(groups))
+                    for key in zip(*(p.ravel().tolist() for p in powers))])
+    pp = alg.partition
+    return same_partition(ext, len(groups), pp.flat_index, pp.r + 1)

@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
+from itertools import pairwise
 from operator import attrgetter
 
 from .errors import (AnalysisError, ContractViolationError, SizeLimitError,
@@ -213,13 +214,20 @@ def _decode(table, section: dict) -> dict:
             for key, path, (_, dec) in table if dec is not None}
 
 
+def _class_pairs(pp: PairPartition, texts) -> list:
+    """texts[u*n+v] for the pairs (u,v) of each class, row-major."""
+    members, bounds = pp.class_members
+    pairs = list(map(texts.__getitem__, members.tolist()))
+    return [pairs[lo:hi] for lo, hi in pairwise(bounds.tolist())]
+
+
 def _partition_dict(pp: PairPartition) -> dict:
+    texts = [[u, v] for u in range(pp.n) for v in range(pp.n)]
     return {
         "num_classes": pp.r + 1,
         "classes": [
-            {"walk_vector": [str(x) for x in vec],
-             "pairs": [[u, v] for u, v in cls]}
-            for vec, cls in zip(pp.class_walk_vectors, pp.classes)
+            {"walk_vector": [str(x) for x in vec], "pairs": pairs}
+            for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))
         ],
     }
 
@@ -331,8 +339,8 @@ def to_json(o) -> str:
 def _partition_json(pp: PairPartition, indent: str) -> str:
     """`_partition_dict(pp)` as `_to_json` writes it, without building it:
     one template per class, with walk counts written as `str(x)` and each
-    pair of int vertices as one f-string."""
-    if not (all(pp.classes) and all(pp.class_walk_vectors)):
+    pair of int vertices joined from the texts of its two ends."""
+    if not (all(pp.class_sizes) and all(pp.class_walk_vectors)):
         # the template has no "[]"; report_from_dict reads "pairs": [] too
         return _to_json(_partition_dict(pp), indent)
     i2, i4, i6, i8, i10 = (indent + " " * k for k in (2, 4, 6, 8, 10))
@@ -340,10 +348,13 @@ def _partition_json(pp: PairPartition, indent: str) -> str:
     mid = "\n" + i6 + "],\n" + i6 + '"pairs": [\n' + i8
     tail = "\n" + i6 + "]\n" + i4 + "}"
     sep = ",\n" + i8
+    starts = [f"[\n{i10}{u},\n{i10}" for u in range(pp.n)]
+    ends = [f"{v}\n{i8}]" for v in range(pp.n)]
+    texts = [a + b for a in starts for b in ends]  # pair u*n+v
     classes = [
         head + sep.join(map(encode_basestring_ascii, map(str, vec))) + mid
-        + sep.join([f"[\n{i10}{u},\n{i10}{v}\n{i8}]" for u, v in cls]) + tail
-        for vec, cls in zip(pp.class_walk_vectors, pp.classes)]
+        + sep.join(pairs) + tail
+        for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))]
     return (f'{{\n{i2}"num_classes": {pp.r + 1},\n'
             f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
 
@@ -422,7 +433,7 @@ def report_from_dict(d: dict) -> Report:
         classes = d["partition"]["classes"]
         pp = PairPartition.of(
             n, tuple(tuple(int(x) for x in c["walk_vector"]) for c in classes),
-            tuple(tuple((u, v) for u, v in c["pairs"]) for c in classes))
+            [c["pairs"] for c in classes])
         report.quotient = QuotientReport(
             **_decode(_QUOTIENT, d["quotient"]),
             diameter=report.diameter, partition=pp)

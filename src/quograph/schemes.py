@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
 from .exact import Polynomial
-from .partitions import PairPartition, WalkAlgebra
+from .partitions import PairPartition, WalkAlgebra, same_partition
 from .quotient import QuotientReport
 
 
@@ -106,21 +106,21 @@ class AssociationScheme:
 
 def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
     """The scheme generated by a QP graph: classes are the J_i matrices, and
-    p^k_ij = |{w : (0,w) in J_i, (w,v) in J_j}| counted at vertex 0, for the
-    first v with (0,v) in J_k.
+    p^k_ij = |{w : (0,w) in J_i, (w,v_k) in J_j}|, v_k the first v with
+    c(0,v) = k: the pair-count definition of a scheme (Bannai and Ito 1984;
+    Brouwer, Cohen and Neumaier 1989). On a QP graph one pair per class is
+    enough. `decide_quotient_polynomial` has verified p_k(A) = J_k, and with
+    disjoint supports and r = d the J_k are a basis of A(Gamma), which is
+    closed under products: J_i J_j = sum_k x_k J_k, so x_k is
+    (J_i J_j)[0, v_k].
 
-    This is the pair-count definition of a scheme (Bannai and Ito 1984;
-    Brouwer, Cohen and Neumaier 1989), and on a QP graph one pair per class
-    is enough. `decide_quotient_polynomial` has verified p_k(A) = J_k, and
-    with disjoint supports and r = d the J_k are a basis of A(Gamma), which
-    is closed under products: J_i J_j = sum_k x_k J_k, so x_k is
-    (J_i J_j)[0, v] for any v with c(0,v) = k. Every class must meet vertex
-    0 (checked here, since the partition is passed in). With s = d+1 and
-    v_k the first v of class k, one int64 `bincount` over the keys
-    k s^2 + c(0,w) s + c(w,v_k) gives every p^k_ij: O(n^2 + n s + s^3)
-    work. Counts are at most n, so they are exact. The counts on the other
-    pairs of each class are not recounted; `scheme_via_solve`
-    (`--debug-checks`) checks J_i J_j = sum_k p^k_ij J_k at every pair.
+    All is read off the flat class index c (the partition is passed in, so
+    it is checked): J_0 = I, labels in 0..r (the `bincount` of the class
+    sizes has r+1 entries), c symmetric, every class meeting vertex 0. With
+    s = d+1, one int64 `bincount` over the keys k s^2 + c(0,w) s + c(w,v_k)
+    gives every p^k_ij in O(n^2 + n s + s^3) work, exactly, as counts are at
+    most n. `scheme_via_solve` (`--debug-checks`) checks
+    J_i J_j = sum_k p^k_ij J_k at every pair.
     """
     if not rep.is_quotient_polynomial:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
@@ -130,9 +130,7 @@ def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
     if not np.array_equal(c == 0, np.eye(n, dtype=bool)):
         raise ContractViolationError("J_0 != I on a QP graph")
     # each pair lies in exactly one class 0..r iff the class matrices sum to J
-    sizes = [len(cls) for cls in pp.classes]
-    if (c.min() < 0 or c.max() >= s or sum(sizes) != n * n
-            or np.bincount(c.ravel(), minlength=s).tolist() != sizes):
+    if c.min() < 0 or len(pp.class_sizes) != s:
         raise ContractViolationError("class matrices do not sum to J")
     if not np.array_equal(c, c.T):
         raise ContractViolationError("class matrix not symmetric")
@@ -210,7 +208,8 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
 def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     """True iff the scheme classes span A(Gamma), decided by partitions: the
     classes are 0/1 and partition V x V, that partition is the walk
-    partition (in any class order), and r = d.
+    partition in any class order (`same_partition` of the flat class index
+    and the scheme class of each pair), and r = d.
 
     Forward: a class in A(Gamma) is constant on the walk classes, so it is
     a union of them; each A^l, lying in the span of the classes, is
@@ -218,12 +217,9 @@ def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     walk partition. The two partitions are therefore equal, and
     r + 1 = dim A(Gamma) = d + 1. Backward: with r = d, M is square of rank
     d+1, so every class-constant matrix lies in A(Gamma), and the r+1
-    disjoint classes span it.
-
-    Classes that are not 0/1, or do not partition V x V, read False even
-    where their span is A(Gamma) (2 J_1 in place of J_1, say). The classes
-    are read once, as bytes; the walk class and scheme class of each pair
-    are paired by one `bincount`, which must give a bijection.
+    disjoint classes span it. Classes that are not 0/1, or do not partition
+    V x V, read False even where their span is A(Gamma) (2 J_1 in place of
+    J_1, say); they are read once, as bytes.
     """
     pp = alg.partition
     n, s = pp.n, len(scheme.classes)
@@ -238,9 +234,5 @@ def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     # partition V x V (numpy sums uint8 at full width: no wrap-around)
     if not (mats.sum(axis=0) == 1).all():
         return False
-    c = pp.flat_index
-    met = np.bincount(c * s + mats.argmax(axis=0),
-                      minlength=(pp.r + 1) * s).reshape(pp.r + 1, s) > 0
-    # met[k, j]: some pair lies in walk class k and scheme class j
-    return bool((met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all()
-                and pp.r == alg.d)
+    return pp.r == alg.d and same_partition(pp.flat_index, pp.r + 1,
+                                            mats.argmax(axis=0), s)

@@ -87,7 +87,8 @@ def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
     n = pp.n
     flat = np.stack(sd.idempotents, axis=-1).reshape(n * n, -1)
     ids = pp.flat_index
-    first = np.array([u * n + v for u, v in map(min, pp.classes)])  # f(C)
+    members, bounds = pp.class_members  # pairs grouped by class
+    first = members[bounds[:-1]]  # f(C)
     own = first[ids]
     dist = flat[own]
     np.subtract(dist, flat, out=dist)
@@ -114,7 +115,6 @@ def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
                             key=col.__getitem__), dtype=np.intp)
     coord = reps[order, key]
     window = 4 * tol
-    members = None  # pair indices grouped by class, built on first use
     for step in range(1, len(order)):
         near = np.flatnonzero(coord[step:] - coord[:-step] <= window)
         if not len(near):
@@ -123,10 +123,6 @@ def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
         close = np.abs(reps[a] - reps[b]).max(axis=1) <= window
         if not close.any():
             continue
-        if members is None:
-            members = np.array([u * n + v for cls in pp.classes
-                                for u, v in cls], dtype=np.intp)
-            bounds = np.cumsum([0] + [len(cls) for cls in pp.classes])
         # (b) for the pairs of class c against the first pair of `other`,
         # both ways round; each class is met at most twice per step
         c = np.concatenate([a[close], b[close]])

@@ -16,10 +16,9 @@ import numpy as np
 from quograph import (AnalysisError, ContractViolationError, Graph,
                       GraphInputError, OrbitPartition, Polynomial,
                       SizeLimitError, ToleranceError, WalkAlgebra,
-                      check_regular, distances, local_partition, mat_mul,
-                      rank)
+                      check_regular, distances, local_partition, rank)
 from quograph import exact
-from quograph.exact import IntMatrix, RatMatrix, identity, transpose
+from quograph.exact import IntMatrix, RatMatrix, identity
 from quograph.graphs import DistanceData
 from quograph.orbits import DEFAULT_VERTEX_CAP
 from quograph.partitions import LocalPartition, PairPartition
@@ -30,6 +29,19 @@ from quograph.spectral import DEFAULT_TOL, SpectralDecomposition, Spectrum
 
 def all_ones(n: int) -> IntMatrix:
     return [[1] * n for _ in range(n)]
+
+
+def transpose(m):
+    return [list(row) for row in zip(*m)]
+
+
+def mat_mul(a, b):
+    """Exact matrix product; entries may be ints or Fractions."""
+    if len(a[0]) != len(b):
+        raise GraphInputError(
+            f"dimension mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def trace(m) -> int | Fraction:
@@ -149,8 +161,8 @@ def adjacency_power_ladder_reference(g: Graph) -> list[list[list[int]]]:
 
 def class_powers(alg: WalkAlgebra) -> list[list[list[int]]]:
     """[I, A, ..., A^d] read off the walk classes: A^l[u][v] = M[c(u,v)][l]."""
-    m, index = alg.m, alg.partition.class_index
-    return [[[m[c][l] for c in row] for row in index]
+    m, n, ids = alg.m, alg.g.n, alg.partition.class_ids
+    return [[[m[c][l] for c in ids[u * n:(u + 1) * n]] for u in range(n)]
             for l in range(alg.d + 1)]
 
 
@@ -287,10 +299,44 @@ def distance_class_matrix(g: Graph, i: int) -> list[list[int]]:
 
 
 def class_matrix(pp: PairPartition, i: int) -> list[list[int]]:
-    m = [[0] * pp.n for _ in range(pp.n)]
-    for u, v in pp.classes[i]:
-        m[u][v] = 1
-    return m
+    n = pp.n
+    return [[int(pp.class_ids[u * n + v] == i) for v in range(n)]
+            for u in range(n)]
+
+
+def setpartition(pp: PairPartition) -> frozenset[frozenset[tuple[int, int]]]:
+    """The classes of pp as a set of sets of pairs (u,v), class order
+    forgotten."""
+    classes: dict[int, set] = {}
+    for p, k in enumerate(pp.class_ids):
+        classes.setdefault(k, set()).add(divmod(p, pp.n))
+    return frozenset(map(frozenset, classes.values()))
+
+
+def group_pairs(n: int, ladder) -> PairPartition:
+    """The pairs grouped by their entries in the powers [I, A, A^2, ...],
+    each a list of n rows, in the library's class order: the diagonal
+    classes (a^(0) = 1) by ascending walk vector, then the others by
+    distance and descending walk vector; pairs row-major."""
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for u in range(n):
+        for v in range(n):
+            classes.setdefault(tuple(p[u][v] for p in ladder), []).append((u, v))
+
+    def key(vec):
+        dist = next(l for l, x in enumerate(vec) if x)
+        return (0, vec) if vec[0] == 1 else (1, dist, tuple(-x for x in vec))
+    order = sorted(classes, key=key)
+    return PairPartition.of(n, order, [classes[vec] for vec in order])
+
+
+def walk_classes(g: Graph) -> dict[tuple[int, ...], list[tuple[int, int]]]:
+    """The pairs (u,v) grouped by their walk vector, each group row-major,
+    keyed by the vector: the walk partition from `walk_vectors`."""
+    classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for pair, vec in walk_vectors(g).items():
+        classes.setdefault(vec, []).append(pair)
+    return classes
 
 
 def characteristic_vector(lp: LocalPartition, i: int, n: int) -> list[int]:
@@ -391,11 +437,11 @@ def build_scheme_every_u(rep: QuotientReport, pp: PairPartition) -> AssociationS
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
     n = pp.n
     s = pp.r + 1
-    c = np.array(pp.class_index, dtype=np.int64)
+    c = np.array(pp.class_ids, dtype=np.int64).reshape(n, n)
     if not np.array_equal(c == 0, np.eye(n, dtype=bool)):
         raise ContractViolationError("J_0 != I on a QP graph")
     # each pair lies in exactly one class 0..r iff the class matrices sum to J
-    sizes = [len(cls) for cls in pp.classes]
+    sizes = [pp.class_ids.count(k) for k in range(s)]
     if (c.min() < 0 or c.max() >= s or sum(sizes) != n * n
             or np.bincount(c.ravel(), minlength=s).tolist() != sizes):
         raise ContractViolationError("class matrices do not sum to J")

@@ -12,11 +12,10 @@ from quograph import (WalkAlgebra, analyze, automorphisms,
                       local_partition, orbit_partition, parse_edge_list,
                       parse_graph_spec, petersen_graph,
                       spectral_decomposition)
-from quograph.exact import transpose
 
 from oracles import (adjacency_power_ladder_reference, b_via_trace, eval_poly,
                      graph_scalar_product, is_distance_faithful,
-                     per_vertex_consistency)
+                     per_vertex_consistency, transpose)
 from test_schemes import brute_intersection_numbers
 from worked_examples import (CIRC17_B, CIRC17_BT, CIRC17_EIGS, CIRC17_POLYS,
                              CIRC17_W, CIRC17_W_PLUS, Y6_A1, Y6_A4,
@@ -162,7 +161,7 @@ def test_acceptance_7_orbit_inclusion(small_corpus, corpus_reports):
         op = orbit_partition(automorphisms(g, cap=g.n), g.n)
         pp = rpt.quotient.partition
         for orb in op.orbits:
-            ids = {pp.class_index[u][v] for u, v in orb}
+            ids = {pp.class_ids[u * g.n + v] for u, v in orb}
             assert len(ids) == 1, "orbit crosses walk classes"
         # by membership of every orbit matrix, not by is_orbit_polynomial's
         # orbit count, which already assumes the inclusion

@@ -4,15 +4,14 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from quograph import Polynomial, mat_mul, rank
+from quograph import Polynomial, rank
 from quograph import exact
 from quograph.exact import (BATCH_WORK, RANK_PRIME, _ranks_mod_p, frac_str,
-                            identity, parse_frac, poly_to_text, subset_ranks,
-                            transpose)
+                            identity, parse_frac, poly_to_text, subset_ranks)
 from quograph.graphs import complete_graph
 
-from oracles import (RowBasis, all_ones, combine_powers, eval_poly,
-                     rank_mod_p, solve)
+from oracles import (RowBasis, all_ones, combine_powers, eval_poly, mat_mul,
+                     rank_mod_p, solve, transpose)
 from worked_examples import CIRC17_BT, CIRC17_W, CIRC17_W_PLUS
 
 

@@ -1,9 +1,9 @@
 """WalkAlgebra.membership against the n^2-row reference solve it replaced."""
 from quograph import (Polynomial, WalkAlgebra, automorphisms, distances,
-                      is_orbit_polynomial, mat_mul, orbit_partition)
+                      is_orbit_polynomial, orbit_partition)
 from quograph.exact import identity
 from oracles import (adjacency_power_ladder_reference, distance_class_matrix,
-                     solve)
+                     mat_mul, solve)
 
 
 def algebra_membership(ladder, target) -> Polynomial | None:

@@ -117,7 +117,7 @@ def test_orbits_refine_walk_classes():
         pp = global_partition(g)
         op = orbit_partition(automorphisms(g), g.n)
         for orb in op.orbits:
-            ids = {pp.class_index[u][v] for u, v in orb}
+            ids = {pp.class_ids[u * g.n + v] for u, v in orb}
             assert len(ids) == 1
 
 

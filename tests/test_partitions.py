@@ -11,8 +11,10 @@ from quograph import (WalkAlgebra, adjacency_power_ladder, build_graph,
                       distances, global_partition, local_partition,
                       parse_graph_spec, path_graph, prism_y6)
 from quograph.partitions import LocalPartition
+from quograph.report import _partition_dict
 
-from oracles import class_matrix, is_distance_faithful, walk_vectors
+from oracles import (class_matrix, is_distance_faithful, walk_classes,
+                     walk_vectors)
 from worked_examples import CIRC17_B, CIRC17_CELLS
 
 
@@ -36,7 +38,7 @@ def test_global_partition_complete_graph():
     pp = global_partition(complete_graph(4))
     assert pp.r == 1
     assert pp.diagonal_is_identity
-    assert len(pp.classes[0]) == 4 and len(pp.classes[1]) == 12
+    assert pp.class_ids.count(0) == 4 and pp.class_ids.count(1) == 12
 
 
 def test_global_partition_counts(circ17, y6):
@@ -49,12 +51,11 @@ def test_class_ordering_and_index(circ17):
     # class 0 is the diagonal; classes 1..4 carry the local cells around 0
     for i, cell in CIRC17_CELLS.items():
         for v in cell:
-            assert pp.class_index[0][v] == i
+            assert pp.class_ids[v] == i  # row 0
     # walk vectors and classes stay aligned
     wv = walk_vectors(circ17)
-    for i, cls in enumerate(pp.classes):
-        for u, v in cls:
-            assert wv[(u, v)] == pp.class_walk_vectors[i]
+    for p, i in enumerate(pp.class_ids):
+        assert wv[divmod(p, pp.n)] == pp.class_walk_vectors[i]
 
 
 def test_class_matrices_sum_to_j_and_are_symmetric(circ17):
@@ -88,17 +89,18 @@ def test_class_distance_is_first_nonzero(circ17, small_corpus, corpus_reports):
         assert all(dist[i] == next(l for l, x in enumerate(vec) if x)
                    for i, vec in enumerate(pp.class_walk_vectors))
         for u, row in enumerate(distances(g).dist):
-            assert [pp.class_distance(i) for i in pp.class_index[u]] == list(row)
+            assert [pp.class_distances[i]
+                    for i in pp.class_ids[u * g.n:(u + 1) * g.n]] == list(row)
     assert len(pairs) == 1 + 1196 + 4
 
 
 def test_flat_index_is_a_read_only_class_index(circ17):
-    """flat_index is class_index flattened row-major, int64, built once and
+    """flat_index is class_ids as an array, int64, built once and
     read-only; it is no field, so equality and replace ignore it."""
     pp = global_partition(circ17)
     flat = pp.flat_index
     assert flat.dtype == np.int64 and flat.shape == (pp.n * pp.n,)
-    assert flat.tolist() == [i for row in pp.class_index for i in row]
+    assert flat.tolist() == list(pp.class_ids)
     assert pp.flat_index is flat
     assert not flat.flags.writeable
     with pytest.raises(ValueError):
@@ -108,6 +110,34 @@ def test_flat_index_is_a_read_only_class_index(circ17):
     copy = dataclasses.replace(pp)
     assert copy == pp and "flat_index" not in vars(copy)
     assert copy.flat_index.tolist() == flat.tolist()
+
+
+def test_class_members_match_walk_vector_grouping(small_corpus,
+                                                  corpus_reports):
+    """The pair lists, class sizes and first pairs read off class_ids, and
+    the pair lists the report's partition section writes, equal the pairs
+    grouped by walk vectors from the dense reference ladder, class by class,
+    on every corpus graph and every input of the `large` benchmark."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    pairs = [(g, r.quotient.partition)
+             for g, r in zip(small_corpus, corpus_reports[0])]
+    pairs += [(g, global_partition(g)) for g in
+              map(parse_graph_spec, workload_inputs("large", DEFAULT_SEED))]
+    for g, pp in pairs:
+        want = walk_classes(g)
+        assert len(want) == pp.r + 1
+        members, bounds = (a.tolist() for a in pp.class_members)
+        section = _partition_dict(pp)["classes"]
+        for k, vec in enumerate(pp.class_walk_vectors):
+            cls = want[vec]
+            assert [divmod(p, g.n) for p in
+                    members[bounds[k]:bounds[k + 1]]] == cls
+            assert section[k]["pairs"] == [list(p) for p in cls]
+            assert pp.class_sizes[k] == len(cls)
+            assert divmod(members[bounds[k]], g.n) == cls[0]  # first pair
+    assert len(pairs) == 1196 + 4
 
 
 def test_local_partition_cells(circ17):

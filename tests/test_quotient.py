@@ -65,9 +65,9 @@ def test_local_dimensions_match_oracle(small_corpus, corpus_reports):
         by_class = {}
         for u, du in enumerate(rep.local_dimensions):
             assert du == local_dimension(g, u)
-            assert by_class.setdefault(pp.class_index[u][u], du) == du
-            assert ecc[u] + 1 <= du <= min(len(set(pp.class_index[u])),
-                                           rep.d + 1)
+            row = pp.class_ids[u * g.n:(u + 1) * g.n]
+            assert by_class.setdefault(row[u], du) == du
+            assert ecc[u] + 1 <= du <= min(len(set(row)), rep.d + 1)
     assert len(pairs) == 1196 + 5
 
 
@@ -241,8 +241,8 @@ def test_extended_partition_stable_rejects_merged_classes(circ17, petersen):
         alg = WalkAlgebra.of(g)
         assert extended_partition_stable(alg)
         pp = alg.partition
-        *rest, a, b = pp.classes
-        merged = PairPartition.of(g.n, pp.class_walk_vectors[:-1],
-                                  [*rest, a + b])
+        merged = PairPartition(  # the last class joins the one before it
+            g.n, tuple(min(k, pp.r - 1) for k in pp.class_ids),
+            pp.class_walk_vectors[:-1])
         assert not extended_partition_stable(
             dataclasses.replace(alg, partition=merged))

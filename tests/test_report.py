@@ -13,6 +13,7 @@ from quograph import (AnalysisOptions, analyze, build_graph, census,
                       cycle_graph, parse_graph_spec, path_graph,
                       petersen_graph, report_from_dict, report_to_dict,
                       report_to_json, report_to_text)
+from quograph.errors import GraphInputError
 from quograph.report import json_sections, to_json
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -150,6 +151,23 @@ def test_empty_partition_lists(petersen):
     rpt.quotient.partition = dataclasses.replace(
         pp, class_walk_vectors=pp.class_walk_vectors[:-1] + ((),))
     assert_writes_as_dumps(rpt)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda cls: cls[2]["pairs"].remove([0, 2]), r"pair \(0, 2\) is in no class"),
+    (lambda cls: cls[1]["pairs"].append([0, 2]),
+     r"pair \(0, 2\) is listed in classes 1 and 2"),
+    (lambda cls: cls[2]["pairs"].append([0, 10]),
+     r"pair \(0, 10\) lies outside V x V"),
+])
+def test_partition_pairs_must_partition_pairs(petersen, edit, message):
+    """report_from_dict rejects pair lists that miss a pair, list one twice,
+    or list one outside V x V, naming the pair; it used to file a missing
+    pair under class 0 and a repeated one under its last class."""
+    d = report_to_dict(analyze(petersen))
+    edit(d["partition"]["classes"])
+    with pytest.raises(GraphInputError, match=message):
+        report_from_dict(d)
 
 
 @pytest.mark.parametrize("spec", ["graph6:@", "name:petersen", "name:y6",

@@ -4,11 +4,11 @@ import sys
 from pathlib import Path
 
 from quograph import (WalkAlgebra, build_graph, circulant, cycle_graph,
-                      decide_quotient_polynomial, mat_mul, parse_graph_spec)
+                      decide_quotient_polynomial, parse_graph_spec)
 from quograph.errors import AnalysisError, ContractViolationError
 from quograph.schemes import AssociationScheme, build_scheme
 
-from oracles import all_ones, build_scheme_every_u, class_matrix
+from oracles import all_ones, build_scheme_every_u, class_matrix, mat_mul
 
 
 def build_scheme_reference(rep, pp) -> AssociationScheme:
@@ -34,7 +34,7 @@ def build_scheme_reference(rep, pp) -> AssociationScheme:
             vals = [None] * (d + 1)
             for u in range(n):
                 row = prod[u]
-                cls_row = pp.class_index[u]
+                cls_row = pp.class_ids[u * n:(u + 1) * n]
                 for v in range(n):
                     k = cls_row[v]
                     if vals[k] is None:

@@ -51,6 +51,10 @@ def test_walk_regular_flags():
     assert is_walk_regular(global_partition(cycle_graph(5)))
     assert is_walk_regular(global_partition(prism_y6()))
     assert not is_walk_regular(global_partition(path_graph(3)))
+    # J_0 = I: the diagonal pairs are class 0, and class 0 holds no other
+    assert is_walk_regular(_pair_partition([[0, 1], [1, 0]]))
+    assert not is_walk_regular(_pair_partition([[0, 0], [0, 0]]))
+    assert not is_walk_regular(_pair_partition([[1, 0], [0, 1]]))
 
 
 def test_h_punctual_circulant(circ17):
@@ -105,7 +109,7 @@ def test_qp_implies_dp_rejects_perturbed_polynomial(circ17):
     for j in range(rep.r + 1):
         polys = list(rep.polynomials)
         polys[j] = polys[j] + Polynomial.of([0, Fraction(1, 7)])
-        i = pp.class_distance(j)
+        i = pp.class_distances[j]
         with pytest.raises(ContractViolationError,
                            match=rf"p_{i}\(A\) = A_{i}"):
             qp_implies_dp(alg, dataclasses.replace(rep,
