@@ -92,38 +92,33 @@ def circulant(n: int, connection) -> Graph:
     return build_graph(n, edges)
 
 
+def _bfs(g: Graph, s: int) -> list[int | None]:
+    """Exact BFS distances from s; None marks unreachable vertices."""
+    row: list[int | None] = [None] * g.n
+    row[s] = 0
+    q = deque([s])
+    while q:
+        u = q.popleft()
+        for v in g.neighbors[u]:
+            if row[v] is None:
+                row[v] = row[u] + 1
+                q.append(v)
+    return row
+
+
 def distances(g: Graph) -> DistanceData:
     """Exact BFS distances, eccentricities, and diameter."""
-    dist_rows: list[tuple[int | None, ...]] = []
-    ecc: list[int | None] = []
-    connected = True
-    for s in range(g.n):
-        row: list[int | None] = [None] * g.n
-        row[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for v in g.neighbors[u]:
-                if row[v] is None:
-                    row[v] = row[u] + 1
-                    q.append(v)
-        finite = [d for d in row if d is not None]
-        if len(finite) < g.n:
-            connected = False
-            ecc.append(None)
-        else:
-            ecc.append(max(finite))
-        dist_rows.append(tuple(row))
-    diameter = max((e for e in ecc if e is not None), default=None) if connected else None
-    return DistanceData(tuple(dist_rows), tuple(ecc), diameter, connected)
+    dist_rows = tuple(tuple(_bfs(g, s)) for s in range(g.n))
+    ecc = tuple(None if None in row else max(row) for row in dist_rows)
+    connected = None not in ecc
+    return DistanceData(dist_rows, ecc, max(ecc) if connected else None,
+                        connected)
 
 
-def require_connected(g: Graph) -> DistanceData:
-    """The distances of a connected graph; AnalysisError otherwise."""
-    dd = distances(g)
-    if not dd.connected:
+def require_connected(g: Graph) -> None:
+    """AnalysisError unless g is connected: one BFS from vertex 0, O(n+m)."""
+    if None in _bfs(g, 0):
         raise AnalysisError("graph is disconnected; analysis is undefined")
-    return dd
 
 
 # --- named families -------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractViolationError, GraphInputError
 from .exact import Polynomial
-from .graphs import DistanceData, Graph, require_connected
+from .graphs import Graph, require_connected
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,13 @@ class WalkAlgebra:
     when T is constant on classes and M c = t, where c are the coefficients
     of p and t the class values of T. M has rank d+1; its basis rows form
     the block B, kept as the integer matrix adj = det * B^-1.
+
+    The classes carry the metric too: dist(u,v) is the first l with
+    A^l[u][v] > 0, inside the walk vector as D <= d on a connected graph,
+    and every pair lies in one class, so D is the largest class distance.
     """
 
     g: Graph
-    dd: DistanceData
     partition: PairPartition
     basis_rows: tuple[int, ...]  # the classes of the rows of B, in order
     adj: tuple[tuple[int, ...], ...]
@@ -247,16 +250,20 @@ class WalkAlgebra:
 
     @staticmethod
     def of(g: Graph) -> WalkAlgebra:
-        dd = require_connected(g)
+        require_connected(g)
         lad = adjacency_power_ladder(g)
         pp = _ordered_partition(g.n, lad.class_ids, lad.class_vectors)
         rows = tuple(pp.class_ids[p] for p in lad.basis_pairs)
-        return WalkAlgebra(g, dd, pp, rows, lad.adj, lad.det,
+        return WalkAlgebra(g, pp, rows, lad.adj, lad.det,
                            lad.minimal_polynomial)
 
     @property
     def d(self) -> int:
         return len(self.basis_rows) - 1
+
+    @cached_property
+    def diameter(self) -> int:
+        return max(self.partition.class_distances)
 
     @property
     def m(self) -> tuple[tuple[int, ...], ...]:
@@ -277,7 +284,7 @@ class WalkAlgebra:
             return None
         dist = self.partition.class_distances
         polys = self.class_polynomials(
-            [[int(x == i) for x in dist] for i in range(self.dd.diameter + 1)])
+            [[int(x == i) for x in dist] for i in range(self.diameter + 1)])
         return None if polys is None else tuple(polys)
 
     @cached_property

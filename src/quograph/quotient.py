@@ -22,7 +22,6 @@ class QuotientReport:
 
     d: int
     r: int
-    diameter: int
     is_quotient_polynomial: bool
     partition: PairPartition
     local_dimensions: tuple[int, ...]
@@ -52,7 +51,7 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
                for u in map(diag.index, ids)]
     rank_of = dict(zip(ids, subset_ranks(pp.class_walk_vectors, meeting)))
     rep = QuotientReport(
-        d=d, r=r, diameter=alg.dd.diameter,
+        d=d, r=r,
         is_quotient_polynomial=(r == d),
         partition=pp,
         local_dimensions=tuple(map(rank_of.__getitem__, diag)),

@@ -16,8 +16,8 @@ from json.encoder import encode_basestring_ascii
 from itertools import pairwise
 from operator import attrgetter
 
-from .errors import (AnalysisError, ContractViolationError, SizeLimitError,
-                     ToleranceError)
+from .errors import (AnalysisError, ContractViolationError, GraphInputError,
+                     SizeLimitError, ToleranceError)
 from .exact import Polynomial, frac_str, parse_frac, poly_to_text
 from .graphs import Graph
 from .orbits import (automorphisms, is_orbit_polynomial,
@@ -76,8 +76,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         report.error = str(e)
         report.timing = time.monotonic() - t0
         return report
-    dd, pp = alg.dd, alg.partition
-    report.diameter = dd.diameter
+    pp, report.diameter = alg.partition, alg.diameter
     rep = decide_quotient_polynomial(alg)
     report.quotient = rep
 
@@ -91,7 +90,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
     flags = ClassificationFlags(
         walk_regular=is_walk_regular(pp),
         h_punctual=tuple(is_h_punctually_walk_regular(alg, h)
-                         for h in range(dd.diameter + 1)),
+                         for h in range(alg.diameter + 1)),
         distance_regular=is_distance_regular(alg, rep),
         distance_polynomial=dp is not None,
         quotient_polynomial=rep.is_quotient_polynomial,
@@ -435,12 +434,15 @@ def report_from_dict(d: dict) -> Report:
             n, tuple(tuple(int(x) for x in c["walk_vector"]) for c in classes),
             [c["pairs"] for c in classes])
         report.quotient = QuotientReport(
-            **_decode(_QUOTIENT, d["quotient"]),
-            diameter=report.diameter, partition=pp)
+            **_decode(_QUOTIENT, d["quotient"]), partition=pp)
     if "flags" in d:
         report.flags = ClassificationFlags(**_decode(_FLAGS, d["flags"]))
     if "scheme" in d:
         s = d["scheme"]
+        for k, flat in enumerate(s["classes"]):
+            if len(flat) != n * n:
+                raise GraphInputError(f"scheme class {k} has {len(flat)} "
+                                      f"entries, not n*n = {n * n}")
         mats = tuple(
             [flat[i * n:(i + 1) * n] for i in range(n)] for flat in s["classes"])
         report.scheme = AssociationScheme(

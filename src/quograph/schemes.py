@@ -37,24 +37,22 @@ def is_walk_regular(pp: PairPartition) -> bool:
 def is_h_punctually_walk_regular(alg: WalkAlgebra, h: int) -> bool:
     """Some single class matrix equals the distance-h matrix A_h: walk
     vectors fix the distance, so exactly one class lies at distance h."""
-    pp, diameter = alg.partition, alg.dd.diameter
-    if not (0 <= h <= diameter):
-        raise GraphInputError(f"distance {h} outside 0..{diameter}")
-    return pp.class_distances.count(h) == 1
+    if not (0 <= h <= alg.diameter):
+        raise GraphInputError(f"distance {h} outside 0..{alg.diameter}")
+    return alg.partition.class_distances.count(h) == 1
 
 
 def is_distance_regular(alg: WalkAlgebra, rep: QuotientReport) -> bool:
-    """QP with D = r; independently re-derived via Delsarte's criterion
-    (A_i = p_i(A) with deg p_i = i for all i, which forces D = d).
+    """QP with D = r, D the largest class distance; re-derived by Delsarte's
+    criterion (A_i = p_i(A) with deg p_i = i for all i, forcing D = d).
 
     On a graph that is not regular, `distance_polynomials` is None without
     a solve, so Delsarte reads False; D = r reads False there too, a QP
     graph being walk-regular. Wherever both can be True the graph is
     regular, and the Delsarte half is the full distance solve."""
-    diameter = alg.dd.diameter
-    primary = rep.is_quotient_polynomial and diameter == rep.r
+    primary = rep.is_quotient_polynomial and alg.diameter == rep.r
     delsarte = False
-    if diameter == rep.d:
+    if alg.diameter == rep.d:
         polys = alg.distance_polynomials
         delsarte = polys is not None and all(
             p.degree == i for i, p in enumerate(polys))
@@ -76,10 +74,9 @@ def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
     A_i, which is 1 on the classes at distance i and 0 on the others."""
     if not rep.is_quotient_polynomial:
         raise AnalysisError("qp_implies_dp needs a quotient-polynomial graph")
-    pp = rep.partition
-    dist = pp.class_distances
+    dist = rep.partition.class_distances
     out = []
-    for i in range(alg.dd.diameter + 1):
+    for i in range(alg.diameter + 1):
         p = Polynomial.of([0])
         for j, dj in enumerate(dist):
             # tr(A_i J_j) != 0 iff class j sits at distance i

@@ -48,6 +48,11 @@ def test_distances_disconnected():
     assert dd.dist[0][2] is None
     with pytest.raises(AnalysisError):
         require_connected(g)
+    # one BFS from vertex 0: 0 isolated, and 0 reaching all but vertex 2
+    for g in [build_graph(3, [(1, 2)]), build_graph(4, [(0, 1), (1, 3)])]:
+        with pytest.raises(AnalysisError, match="graph is disconnected"):
+            require_connected(g)
+    assert require_connected(build_graph(1, [])) is None
 
 
 def test_distance_class_matrices_partition_pairs():

@@ -73,22 +73,26 @@ def test_class_matrices_sum_to_j_and_are_symmetric(circ17):
 
 def test_class_distance_is_first_nonzero(circ17, small_corpus, corpus_reports):
     """class_distances[c(u,v)] is the BFS distance of (u,v) at every pair of
-    circ17, the corpus and the `large` benchmark inputs; the distance,
-    h-punctual and qp_implies_dp classifiers all read it."""
+    circ17, the corpus and the `large` benchmark inputs, and the diameter
+    read off the classes is the BFS diameter; the distance, h-punctual and
+    qp_implies_dp classifiers all read them."""
     bench = Path(__file__).resolve().parent.parent / "bench"
     sys.path.insert(0, str(bench))
     from inputs import DEFAULT_SEED, workload_inputs
-    pairs = [(circ17, global_partition(circ17))]
-    pairs += [(g, r.quotient.partition)
+    graphs = [circ17, *map(parse_graph_spec,
+                           workload_inputs("large", DEFAULT_SEED))]
+    pairs = [(g, pp, max(pp.class_distances))
+             for g, pp in zip(graphs, map(global_partition, graphs))]
+    pairs += [(g, r.quotient.partition, r.diameter)
               for g, r in zip(small_corpus, corpus_reports[0])]
-    pairs += [(g, global_partition(g)) for g in
-              map(parse_graph_spec, workload_inputs("large", DEFAULT_SEED))]
-    for g, pp in pairs:
+    for g, pp, diameter in pairs:
+        dd = distances(g)
+        assert diameter == dd.diameter  # the diameter read off the classes
         dist = pp.class_distances
         assert len(dist) == pp.r + 1
         assert all(dist[i] == next(l for l, x in enumerate(vec) if x)
                    for i, vec in enumerate(pp.class_walk_vectors))
-        for u, row in enumerate(distances(g).dist):
+        for u, row in enumerate(dd.dist):
             assert [pp.class_distances[i]
                     for i in pp.class_ids[u * g.n:(u + 1) * g.n]] == list(row)
     assert len(pairs) == 1 + 1196 + 4

@@ -78,8 +78,9 @@ def test_local_dimension_bounds(y6):
 
 
 def test_decide_circulant(circ17):
-    rep = decide(circ17)
-    assert rep.d == 4 and rep.r == 4 and rep.diameter == 3
+    alg = WalkAlgebra.of(circ17)
+    rep = decide_quotient_polynomial(alg)
+    assert rep.d == 4 and rep.r == 4 and alg.diameter == 3
     assert rep.is_quotient_polynomial
     assert rep.walk_matrix == CIRC17_W
     assert rep.walk_matrix_plus == CIRC17_W_PLUS

@@ -170,6 +170,15 @@ def test_partition_pairs_must_partition_pairs(petersen, edit, message):
         report_from_dict(d)
 
 
+def test_scheme_classes_must_have_n_squared_entries(petersen):
+    """report_from_dict rejects a scheme class whose flat list is not n*n
+    long, naming the class; it used to build a ragged matrix."""
+    d = report_to_dict(analyze(petersen))
+    d["scheme"]["classes"][1].pop()
+    with pytest.raises(GraphInputError, match="scheme class 1 has 99 entries"):
+        report_from_dict(d)
+
+
 @pytest.mark.parametrize("spec", ["graph6:@", "name:petersen", "name:y6",
                                   "circulant:17:1,4"])
 def test_sections_at_root_and_report_depth(spec):

@@ -74,7 +74,7 @@ def test_distance_regular():
     # not regular, with D = d: the Delsarte half reads the regularity gate
     for g in [path_graph(4), path_graph(5)]:
         alg = WalkAlgebra.of(g)
-        assert alg.dd.diameter == alg.d
+        assert alg.diameter == alg.d
         assert not is_distance_regular(alg, decide_quotient_polynomial(alg))
 
 

@@ -11,11 +11,13 @@ import pytest
 
 import quograph
 
-# Every stage of bench/tracing.py's STAGES but three: `partition`
-# (`global_partition` has no caller in the package), and `witness` and
-# `orbits`, which run only with `debug_checks` and `orbits` on.
-DEFAULT_STAGES = ["parse", "distances", "ladder", "qp", "spectrum",
-                  "spectrum_partition", "dp", "drg", "h_punctual", "serialize"]
+# Every stage of bench/tracing.py's STAGES but four: `partition`
+# (`global_partition` has no caller in the package), `witness` and
+# `orbits`, which run only with `debug_checks` and `orbits` on, and
+# `distances`: the default path computes no all-pairs distances, and
+# `automorphisms` calls `distances` inside the `orbits` stage.
+DEFAULT_STAGES = ["parse", "ladder", "qp", "spectrum", "spectrum_partition",
+                  "dp", "drg", "h_punctual", "serialize"]
 
 
 def tracer():
@@ -43,3 +45,4 @@ def test_default_path_runs_every_stage(spec, qp_stages):
         t.uninstall()
     for stage in DEFAULT_STAGES + qp_stages:
         assert t.stage_s[stage] > 0, stage
+    assert t.stage_s["distances"] == 0
