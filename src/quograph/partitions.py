@@ -206,18 +206,19 @@ def same_partition(a, na: int, b, nb: int) -> bool:
     return bool((met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all())
 
 
-def _class_order(v: tuple[int, ...]):
-    """Diagonal classes (a^(0) = 1) first, ascending; then the rest by
-    distance and descending walk vector."""
-    if v[0] == 1:
-        return (0, v)
-    return (1, _first_nonzero(v), tuple(-x for x in v))
-
-
 def _ordered_partition(n: int, ids, vectors) -> PairPartition:
     """The pairs u*n+v labelled ids[u*n+v], with walk vectors vectors[ids],
-    relabelled place[ids] into `_class_order`; no pair list is built."""
-    order = sorted(range(len(vectors)), key=lambda k: _class_order(vectors[k]))
+    relabelled place[ids] into the class order: diagonal classes
+    (a^(0) = 1) first, by ascending walk vector; then the rest by
+    descending walk vector. That is the order by distance, then descending
+    walk vector: a class at distance i has a^(l) = 0 for l < i and
+    a^(i) > 0, so its vector is the larger against any class at a greater
+    distance. No key tuple and no pair list is built."""
+    diagonal = [k for k, v in enumerate(vectors) if v[0]]
+    rest = [k for k, v in enumerate(vectors) if not v[0]]
+    diagonal.sort(key=vectors.__getitem__)
+    rest.sort(key=vectors.__getitem__, reverse=True)
+    order = diagonal + rest
     place = {k: i for i, k in enumerate(order)}
     return PairPartition(n, tuple(map(place.__getitem__, ids)),
                          tuple(vectors[k] for k in order))

@@ -16,6 +16,8 @@ from json.encoder import encode_basestring_ascii
 from itertools import pairwise
 from operator import attrgetter
 
+import numpy as np
+
 from .errors import (AnalysisError, ContractViolationError, GraphInputError,
                      SizeLimitError, ToleranceError)
 from .exact import Polynomial, frac_str, parse_frac, poly_to_text
@@ -137,9 +139,8 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
 # Both directions walk one table per flat section, with rows (json key,
 # attribute path, (encode, decode)); a derived key has decode None. The
 # partition and scheme sections have shapes of their own. `report_to_json`
-# writes the two bulk parts, the partition section and the scheme's 0/1
-# class matrices, with encoders of their own; the bytes stay those of
-# `json.dumps(report_to_dict(r), indent=2)`.
+# writes those two sections, the bulk of the output, with encoders of their
+# own; the bytes stay those of `json.dumps(report_to_dict(r), indent=2)`.
 
 def _same(x):
     return x
@@ -231,13 +232,20 @@ def _partition_dict(pp: PairPartition) -> dict:
     }
 
 
-def _flat(m) -> list:
-    return [x for row in m for x in row]
+def _scheme_dict(report: Report) -> dict:
+    s = report.scheme
+    return {
+        "classes": [(s.flat_index == k).astype(int).tolist()
+                    for k in range(s.num_classes + 1)],
+        "intersection_numbers": [[list(row) for row in pk]
+                                 for pk in s.intersection_numbers],
+        "generates": report.scheme_generates,
+    }
 
 
-def _sections(report: Report, partition, scheme_classes) -> dict:
-    """The report's sections, with the partition section and the scheme's
-    class matrices made by the given functions."""
+def _sections(report: Report, partition, scheme) -> dict:
+    """The report's sections, with the partition and scheme sections made
+    by the given functions."""
     d: dict = {"graph": _encode(_GRAPH, report), "error": report.error}
     rep = report.quotient
     if rep is not None:
@@ -248,13 +256,7 @@ def _sections(report: Report, partition, scheme_classes) -> dict:
     if report.flags is not None:
         d["flags"] = _encode(_FLAGS, report.flags)
     if report.scheme is not None:
-        d["scheme"] = {
-            "classes": scheme_classes(report.scheme.classes),
-            "intersection_numbers": [
-                [list(row) for row in pk]
-                for pk in report.scheme.intersection_numbers],
-            "generates": report.scheme_generates,
-        }
+        d["scheme"] = scheme(report)
     if report.orbit is not None:
         d["orbits"] = _encode(_ORBITS, report.orbit)
     return d
@@ -263,17 +265,16 @@ def _sections(report: Report, partition, scheme_classes) -> dict:
 def report_to_dict(report: Report) -> dict:
     """The plain-dict form; `json.dumps(report_to_dict(r), indent=2)` defines
     the JSON bytes."""
-    return _sections(report, _partition_dict,
-                     lambda classes: [_flat(m) for m in classes])
+    return _sections(report, _partition_dict, _scheme_dict)
 
 
 def json_sections(report: Report) -> dict:
-    """`report_to_dict`'s sections for `to_json`, with the partition section
-    and the scheme's class matrices left to their own encoders: `to_json` of
-    it, or of any one section, is the text `json.dumps(..., indent=2)` gives
-    for the same part of `report_to_dict`."""
+    """`report_to_dict`'s sections for `to_json`, with the partition and
+    scheme sections left to their own encoders: `to_json` of it, or of any
+    one section, is the text `json.dumps(..., indent=2)` gives for the same
+    part of `report_to_dict`."""
     return _sections(report, lambda pp: _Encoded(_partition_json, pp),
-                     lambda classes: _Encoded(_scheme_classes_json, classes))
+                     lambda r: _Encoded(_scheme_json, r))
 
 
 def _float_json(x: float) -> str:
@@ -358,28 +359,22 @@ def _partition_json(pp: PairPartition, indent: str) -> str:
             f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
 
 
-_BITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bits(m) -> str:
-    """The entries of the matrix m, row-major, as a string of '0' and '1';
-    empty unless every entry is exactly the int 0 or 1."""
-    types = set()
-    for row in m:
-        types.update(map(type, row))
-    if types != {int} or not set().union(*m) <= {0, 1}:
-        return ""
-    return b"".join(map(bytes, m)).translate(_BITS).decode()
-
-
-def _scheme_classes_json(classes, indent: str) -> str:
-    """`[_flat(m) for m in classes]` as `_to_json` writes it, without building
-    it: a 0/1 matrix is one join over its digit string; any other goes to
-    the generic writer."""
-    inner = indent + "  "
-    sep = ",\n" + inner + "  "
-    return _block([_block([sep.join(bits)], inner) if (bits := _bits(m))
-                   else _to_json(_flat(m), inner) for m in classes], indent)
+def _scheme_json(report: Report, indent: str) -> str:
+    """`_scheme_dict(report)` as `_to_json` writes it, without building it:
+    class k is one join over the `0`/`1` digits of `flat_index == k`, and
+    each row of p^k_ij one join over its ints (`AssociationScheme.of` reads
+    ints only)."""
+    s = report.scheme
+    i2, i4, i6 = (indent + " " * k for k in (2, 4, 6))
+    zero, sep = np.uint8(ord("0")), ",\n" + i6
+    classes = [_block([sep.join(((s.flat_index == k) + zero).tobytes().decode())],
+                      i4) for k in range(s.num_classes + 1)]
+    p = [_block([_block(list(map(str, row)), i6) for row in pk], i4)
+         for pk in s.intersection_numbers]
+    return (f'{{\n{i2}"classes": {_block(classes, i2)},\n'
+            f'{i2}"intersection_numbers": {_block(p, i2)},\n'
+            f'{i2}"generates": {_to_json(report.scheme_generates, i2)}\n'
+            f'{indent}}}')
 
 
 def report_to_json(report: Report) -> str:
@@ -429,6 +424,10 @@ def report_from_dict(d: dict) -> Report:
                     error=d.get("error"))
     n = report.n
     if "quotient" in d:
+        dims = d["quotient"]["local_dimensions"]
+        if len(dims) != n:
+            raise GraphInputError(f"{len(dims)} local dimensions for "
+                                  f"{n} vertices")
         classes = d["partition"]["classes"]
         pp = PairPartition.of(
             n, tuple(tuple(int(x) for x in c["walk_vector"]) for c in classes),
@@ -439,17 +438,8 @@ def report_from_dict(d: dict) -> Report:
         report.flags = ClassificationFlags(**_decode(_FLAGS, d["flags"]))
     if "scheme" in d:
         s = d["scheme"]
-        for k, flat in enumerate(s["classes"]):
-            if len(flat) != n * n:
-                raise GraphInputError(f"scheme class {k} has {len(flat)} "
-                                      f"entries, not n*n = {n * n}")
-        mats = tuple(
-            [flat[i * n:(i + 1) * n] for i in range(n)] for flat in s["classes"])
-        report.scheme = AssociationScheme(
-            classes=mats,
-            intersection_numbers=tuple(
-                tuple(tuple(row) for row in pk)
-                for pk in s["intersection_numbers"]))
+        report.scheme = AssociationScheme.of(n, s["classes"],
+                                             s["intersection_numbers"])
         report.scheme_generates = s["generates"]
     if "orbits" in d:
         report.orbit = OrbitResult(**_decode(_ORBITS, d["orbits"]))

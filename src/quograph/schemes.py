@@ -91,24 +91,64 @@ def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
 
 @dataclass(frozen=True)
 class AssociationScheme:
-    """Symmetric scheme: classes A_0=I..A_d, integer p^k_ij, all verified."""
+    """Symmetric scheme with classes A_0 = I, ..., A_d and integer p^k_ij,
+    held as one class label per pair, as `PairPartition` holds the walk
+    partition: pair (u,v) is in class class_ids[u*n+v], a label in
+    0..num_classes. A labelling is 0/1 classes that partition V x V by
+    construction; the class count is explicit, so a class may be empty."""
 
-    classes: tuple              # tuple of 0/1 IntMatrix
+    n: int
+    num_classes: int            # d: the labels are 0..d
+    class_ids: tuple[int, ...]  # pair u*n+v -> class
     intersection_numbers: tuple  # p[k][i][j]
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.classes) - 1
+    @staticmethod
+    def of(n: int, classes, intersection_numbers) -> AssociationScheme:
+        """The scheme whose class k is the flat 0/1 list classes[k], entry
+        u*n+v for the pair (u,v), as the JSON writes it; the classes must
+        partition V x V, and a class may be empty. Raises GraphInputError,
+        naming the class and the pair, as `PairPartition.of` does."""
+        ids = np.full(n * n, -1, dtype=np.int64)
+        for k, flat in enumerate(classes):
+            if len(flat) != n * n:
+                raise GraphInputError(f"scheme class {k} has {len(flat)} "
+                                      f"entries, not n*n = {n * n}")
+            if set(map(type, flat)) != {int} or not set(flat) <= {0, 1}:
+                p = next(p for p, x in enumerate(flat)
+                         if type(x) is not int or x not in (0, 1))
+                raise GraphInputError(f"scheme class {k} has {flat[p]!r} at "
+                                      f"pair {divmod(p, n)}, not 0 or 1")
+            members = np.flatnonzero(np.array(flat, dtype=np.int8))
+            twice = members[ids[members] >= 0]
+            if len(twice):
+                p = int(twice[0])
+                raise GraphInputError(f"pair {divmod(p, n)} is in scheme "
+                                      f"classes {ids[p]} and {k}")
+            ids[members] = k
+        missing = np.flatnonzero(ids < 0)
+        if len(missing):
+            raise GraphInputError(
+                f"pair {divmod(int(missing[0]), n)} is in no scheme class")
+        if any(type(x) is not int
+               for pk in intersection_numbers for row in pk for x in row):
+            raise GraphInputError("an intersection number is not an int")
+        return AssociationScheme(
+            n, len(classes) - 1, tuple(ids.tolist()),
+            tuple(tuple(map(tuple, pk)) for pk in intersection_numbers))
+
+    # `class_ids` as a read-only int64 array, cached as on `PairPartition`
+    flat_index = PairPartition.flat_index
 
 
 def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
-    """The scheme generated by a QP graph: classes are the J_i matrices, and
-    p^k_ij = |{w : (0,w) in J_i, (w,v_k) in J_j}|, v_k the first v with
-    c(0,v) = k: the pair-count definition of a scheme (Bannai and Ito 1984;
-    Brouwer, Cohen and Neumaier 1989). On a QP graph one pair per class is
-    enough. `decide_quotient_polynomial` has verified p_k(A) = J_k, and with
-    disjoint supports and r = d the J_k are a basis of A(Gamma), which is
-    closed under products: J_i J_j = sum_k x_k J_k, so x_k is
+    """The scheme generated by a QP graph: its classes are the walk classes
+    J_0..J_d, held as the walk partition's own labels (`pp.class_ids`, not a
+    copy), and p^k_ij = |{w : (0,w) in J_i, (w,v_k) in J_j}|, v_k the first
+    v with c(0,v) = k: the pair-count definition of a scheme (Bannai and Ito
+    1984; Brouwer, Cohen and Neumaier 1989). On a QP graph one pair per
+    class is enough. `decide_quotient_polynomial` has verified p_k(A) = J_k,
+    and with disjoint supports and r = d the J_k are a basis of A(Gamma),
+    which is closed under products: J_i J_j = sum_k x_k J_k, so x_k is
     (J_i J_j)[0, v_k].
 
     All is read off the flat class index c (the partition is passed in, so
@@ -116,8 +156,8 @@ def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
     sizes has r+1 entries), c symmetric, every class meeting vertex 0. With
     s = d+1, one int64 `bincount` over the keys k s^2 + c(0,w) s + c(w,v_k)
     gives every p^k_ij in O(n^2 + n s + s^3) work, exactly, as counts are at
-    most n. `scheme_via_solve` (`--debug-checks`) checks
-    J_i J_j = sum_k p^k_ij J_k at every pair.
+    most n. No class matrix is built. `scheme_via_solve` (`--debug-checks`)
+    checks J_i J_j = sum_k p^k_ij J_k at every pair.
     """
     if not rep.is_quotient_polynomial:
         raise AnalysisError("only quotient-polynomial graphs generate a scheme")
@@ -138,10 +178,11 @@ def build_scheme(rep: QuotientReport, pp: PairPartition) -> AssociationScheme:
     # keys[w, k] = k s^2 + c(0,w) s + c(w, first[k])
     keys = c[:, first] + c[0][:, None] * s + np.arange(s) * (s * s)
     p = np.bincount(keys.ravel(), minlength=s ** 3).reshape(s, s, s)
-    return AssociationScheme(
-        classes=tuple((c == k).astype(np.int64).tolist() for k in range(s)),
-        intersection_numbers=tuple(
-            tuple(tuple(r) for r in pk) for pk in p.tolist()))
+    scheme = AssociationScheme(
+        n, pp.r, pp.class_ids,
+        tuple(tuple(tuple(r) for r in pk) for pk in p.tolist()))
+    vars(scheme)["flat_index"] = pp.flat_index  # the same labels, as an array
+    return scheme
 
 
 def scheme_via_solve(scheme: AssociationScheme) -> bool:
@@ -149,18 +190,20 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
     is sum_k p^k_ij J_k.
 
     The linear system J_i J_j = sum_k x_k J_k on the n^2 rows
-    [J_0(u,v), ..., J_d(u,v)] has a solution exactly when this holds: once
-    the 0/1 classes sum to J every row is a unit vector, so x_k is J_i J_j
-    read at any pair of class k. `build_scheme` reads p^k_ij at one pair
-    per class, on vertex 0; checked at every pair, this is the witness that
-    the counts are the same on all pairs of each class. The products are
-    dense int64 matrix products (entries are at most n), an algorithm
-    independent of the pair count in `build_scheme`.
+    [J_0(u,v), ..., J_d(u,v)] has a solution exactly when this holds: the
+    classes of a labelling are 0/1 and sum to J, so every row is a unit
+    vector, and x_k is J_i J_j read at any pair of class k. `build_scheme`
+    reads p^k_ij at one pair per class, on vertex 0; checked at every pair,
+    this is the witness that the counts are the same on all pairs of each
+    class. The class matrices are built from the flat class index, one
+    comparison per class, and the products are dense int64 matrix products
+    (entries are at most n), an algorithm independent of the pair count in
+    `build_scheme`.
     """
-    mats = np.array(scheme.classes, dtype=np.int64)
-    if not (np.isin(mats, (0, 1)).all() and (mats.sum(axis=0) == 1).all()):
-        return False
-    cls = mats.argmax(axis=0)
+    n = scheme.n
+    cls = scheme.flat_index.reshape(n, n)
+    mats = np.array([cls == k for k in range(scheme.num_classes + 1)],
+                    dtype=np.int64)
     p = np.array(scheme.intersection_numbers, dtype=np.int64)
     for i in range(len(mats)):
         want = np.moveaxis(p[:, i, :][cls], 2, 0)  # want[j] = p^{c(u,v)}_ij
@@ -204,9 +247,9 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
 
 def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     """True iff the scheme classes span A(Gamma), decided by partitions: the
-    classes are 0/1 and partition V x V, that partition is the walk
-    partition in any class order (`same_partition` of the flat class index
-    and the scheme class of each pair), and r = d.
+    scheme lives on the same n points, its partition of V x V is the walk
+    partition in any class order (`same_partition` of the two flat class
+    indices), and r = d.
 
     Forward: a class in A(Gamma) is constant on the walk classes, so it is
     a union of them; each A^l, lying in the span of the classes, is
@@ -214,22 +257,13 @@ def generates_scheme_check(scheme: AssociationScheme, alg: WalkAlgebra) -> bool:
     walk partition. The two partitions are therefore equal, and
     r + 1 = dim A(Gamma) = d + 1. Backward: with r = d, M is square of rank
     d+1, so every class-constant matrix lies in A(Gamma), and the r+1
-    disjoint classes span it. Classes that are not 0/1, or do not partition
-    V x V, read False even where their span is A(Gamma) (2 J_1 in place of
-    J_1, say); they are read once, as bytes.
+    disjoint classes span it. The scheme is a labelling, one class per
+    pair, so its classes are 0/1 and partition V x V by construction; no
+    rescan of class matrices is left to make (`AssociationScheme.of`
+    rejects lists that are not 0/1 or not a partition on reading). An empty
+    class meets no walk class, and reads False.
     """
     pp = alg.partition
-    n, s = pp.n, len(scheme.classes)
-    try:
-        buf = b"".join(bytes(row) for m in scheme.classes for row in m)
-    except (TypeError, ValueError):  # an entry that is no int in 0..255
-        return False
-    if len(buf) != s * n * n:
-        return False
-    mats = np.frombuffer(buf, dtype=np.uint8).reshape(s, n * n)
-    # entries are >= 0, so a sum of 1 at every pair makes 0/1 classes that
-    # partition V x V (numpy sums uint8 at full width: no wrap-around)
-    if not (mats.sum(axis=0) == 1).all():
-        return False
-    return pp.r == alg.d and same_partition(pp.flat_index, pp.r + 1,
-                                            mats.argmax(axis=0), s)
+    return (scheme.n == pp.n and pp.r == alg.d
+            and same_partition(pp.flat_index, pp.r + 1,
+                               scheme.flat_index, scheme.num_classes + 1))

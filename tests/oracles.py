@@ -298,10 +298,18 @@ def distance_class_matrix(g: Graph, i: int) -> list[list[int]]:
     return [[1 if dd.dist[u][v] == i else 0 for v in range(g.n)] for u in range(g.n)]
 
 
-def class_matrix(pp: PairPartition, i: int) -> list[list[int]]:
+def class_matrix(pp: PairPartition | AssociationScheme,
+                 i: int) -> list[list[int]]:
+    """The 0/1 matrix of class i of a partition or a scheme, read off its
+    labels class_ids[u*n+v]."""
     n = pp.n
     return [[int(pp.class_ids[u * n + v] == i) for v in range(n)]
             for u in range(n)]
+
+
+def scheme_classes(scheme: AssociationScheme) -> list[list[list[int]]]:
+    """The class matrices A_0..A_d of a scheme, n x n lists of 0/1 ints."""
+    return [class_matrix(scheme, k) for k in range(scheme.num_classes + 1)]
 
 
 def setpartition(pp: PairPartition) -> frozenset[frozenset[tuple[int, int]]]:
@@ -462,23 +470,21 @@ def build_scheme_every_u(rep: QuotientReport, pp: PairPartition) -> AssociationS
             i, j = divmod(int(ij), s)
             raise ContractViolationError(
                 f"J_{i} J_{j} is not constant on class {row[v]}")
-    return AssociationScheme(
-        classes=tuple((c == k).astype(np.int64).tolist() for k in range(s)),
-        intersection_numbers=tuple(
-            tuple(tuple(r) for r in pk)
-            for pk in p.reshape(s, s, s).tolist()))
+    return AssociationScheme.of(
+        n, [(c == k).astype(np.int64).ravel().tolist() for k in range(s)],
+        p.reshape(s, s, s).tolist())
 
 
-def generates_scheme_check_reference(scheme: AssociationScheme,
-                                     ladder) -> bool:
+def generates_scheme_check_reference(classes, ladder) -> bool:
     """True iff vec(A^0..A^d), from the ladder [I, A, ..., A^d], spans the
-    same rational row space as the vectorized scheme classes. The d+1 powers
+    same rational row space as the vectorized class matrices, any n x n
+    integer matrices (`scheme_classes` of a scheme, say). The d+1 powers
     are independent (the ladder stops at the first dependent one)."""
     scheme_basis = RowBasis()
     combined = RowBasis()
     for p in ladder:
         combined.add([x for row in p for x in row])
-    for m in scheme.classes:
+    for m in classes:
         vec = [x for row in m for x in row]
         scheme_basis.add(vec)
         combined.add(vec)

@@ -15,6 +15,7 @@ from quograph import (AnalysisOptions, analyze, build_graph, census,
                       report_to_json, report_to_text)
 from quograph.errors import GraphInputError
 from quograph.report import json_sections, to_json
+from quograph.schemes import AssociationScheme, build_scheme
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -117,13 +118,49 @@ def assert_writes_as_dumps(rpt):
 @pytest.mark.parametrize("entry", [True, False, 2, -1, 10 ** 30, 1.0,
                                    np.int64(1)])
 def test_scheme_class_entry_not_a_bit(petersen, entry):
-    """A scheme class entry other than the int 0 or 1 goes to the generic
-    writer, which writes it as json.dumps does or raises TypeError."""
-    rpt = analyze(petersen)
-    classes = [[list(row) for row in m] for m in rpt.scheme.classes]
-    classes[1][3][4] = entry
-    rpt.scheme = dataclasses.replace(rpt.scheme, classes=tuple(classes))
-    assert_writes_as_dumps(rpt)
+    """A scheme class entry other than the int 0 or 1 is rejected on
+    reading, naming the class and the pair; it used to reach the writer."""
+    d = report_to_dict(analyze(petersen))
+    d["scheme"]["classes"][1][3 * 10 + 4] = entry
+    with pytest.raises(GraphInputError,
+                       match=r"scheme class 1 has .* at pair \(3, 4\), not 0 or 1"):
+        report_from_dict(d)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda cls: cls.pop(2), r"pair \(0, 2\) is in no scheme class"),
+    (lambda cls: cls[1].__setitem__(0, 1),
+     r"pair \(0, 0\) is in scheme classes 0 and 1"),
+    (lambda cls: cls[1].__setitem__(0, 2), r"has 2 at pair \(0, 0\)"),
+    (lambda cls: cls[1].__setitem__(0, True), r"has True at pair \(0, 0\)"),
+], ids=["missing", "twice", "two", "true"])
+def test_scheme_classes_must_partition_pairs(petersen, edit, message):
+    """report_from_dict rejects scheme classes that leave a pair out, put
+    one in two classes, or hold an entry other than the int 0 or 1, naming
+    the pair; it used to return such a scheme."""
+    d = report_to_dict(analyze(petersen))
+    edit(d["scheme"]["classes"])
+    with pytest.raises(GraphInputError, match=message):
+        report_from_dict(d)
+
+
+@pytest.mark.parametrize("entry", [True, 1.0, "1"])
+def test_intersection_numbers_must_be_ints(petersen, entry):
+    """report_from_dict rejects an intersection number that is not an int,
+    which the scheme writer would not write as json.dumps does."""
+    d = report_to_dict(analyze(petersen))
+    d["scheme"]["intersection_numbers"][0][0][0] = entry
+    with pytest.raises(GraphInputError, match="not an int"):
+        report_from_dict(d)
+
+
+def test_local_dimensions_must_have_n_entries(petersen):
+    """report_from_dict rejects a local dimension list whose length is not
+    n; it used to return it."""
+    d = report_to_dict(analyze(petersen))
+    d["quotient"]["local_dimensions"].pop()
+    with pytest.raises(GraphInputError, match="9 local dimensions for 10"):
+        report_from_dict(d)
 
 
 def test_big_walk_count(petersen):
@@ -189,6 +226,37 @@ def test_sections_at_root_and_report_depth(spec):
     assert_writes_as_dumps(rpt)
     if spec == "graph6:@":
         assert report_to_dict(rpt)["scheme"]["classes"] == [[1]]
+
+
+def test_scheme_section_writes_as_dumps():
+    """The scheme section is written from the walk partition's own labels
+    (no copy is made) as json.dumps writes report_to_dict's flat lists, and
+    report_from_dict reads those bytes back: on Q7, cycle:41, every QP input
+    of the `witness` workload, and a hand-built scheme with an empty
+    class."""
+    sys.path.insert(0, str(BENCH))
+    from inputs import DEFAULT_SEED, hypercube, workload_inputs
+    specs = ["graph6:" + hypercube(7), "name:cycle:41"]
+    qp = []
+    for spec in specs + workload_inputs("witness", DEFAULT_SEED):
+        rpt = analyze(parse_graph_spec(spec))
+        if rpt.scheme is not None:
+            pp = rpt.quotient.partition
+            assert build_scheme(rpt.quotient, pp).class_ids is pp.class_ids
+            qp.append(rpt)
+    assert len(qp) >= 17  # Q7, cycle:41 and 15 walk-regular atlas graphs
+    rpt = analyze(petersen_graph())
+    s = rpt.scheme
+    flats = report_to_dict(rpt)["scheme"]["classes"]
+    rpt.scheme = AssociationScheme.of(s.n, flats + [[0] * (s.n * s.n)],
+                                      s.intersection_numbers)
+    assert rpt.scheme.num_classes == 3 and 3 not in rpt.scheme.class_ids
+    for rpt in qp + [rpt]:
+        assert_writes_as_dumps(rpt)
+        js = report_to_json(rpt)
+        back = report_from_dict(json.loads(js))
+        assert back.scheme == rpt.scheme
+        assert report_to_json(back) == js
 
 
 def test_json_round_trip_with_orbits():

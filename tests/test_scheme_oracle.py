@@ -45,10 +45,8 @@ def build_scheme_reference(rep, pp) -> AssociationScheme:
             for k in range(d + 1):
                 p[k][i][j] = int(vals[k])
                 p[k][j][i] = int(vals[k])  # J_i J_j = J_j J_i in A(Gamma)
-    return AssociationScheme(
-        classes=tuple(mats),
-        intersection_numbers=tuple(
-            tuple(tuple(row) for row in pk) for pk in p))
+    return AssociationScheme.of(
+        n, [[x for row in m for x in row] for m in mats], p)
 
 
 def test_corpus_schemes_match_oracle(corpus_reports):

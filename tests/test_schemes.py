@@ -12,12 +12,14 @@ from quograph import (PairPartition, Polynomial, WalkAlgebra, analyze,
                       is_h_punctually_walk_regular, is_walk_regular,
                       parse_graph_spec, path_graph, petersen_graph, prism_y6,
                       qp_implies_dp, star_graph)
-from quograph.errors import AnalysisError, ContractViolationError
+from quograph.errors import (AnalysisError, ContractViolationError,
+                             GraphInputError)
 from quograph.schemes import (AssociationScheme, generates_scheme_check,
                               scheme_ring_check, scheme_via_solve)
 
 from oracles import (adjacency_power_ladder_reference, class_matrix,
-                     distance_class_matrix, generates_scheme_check_reference)
+                     distance_class_matrix, generates_scheme_check_reference,
+                     scheme_classes)
 from worked_examples import Y6_DIST_POLYS
 
 
@@ -153,7 +155,7 @@ def test_scheme_classes_match_distance_classes_on_drg(petersen):
     rep = decide_quotient_polynomial(WalkAlgebra.of(petersen))
     s = build_scheme(rep, rep.partition)
     for i in range(3):
-        assert s.classes[i] == distance_class_matrix(petersen, i)
+        assert scheme_classes(s)[i] == distance_class_matrix(petersen, i)
 
 
 def test_scheme_not_generated_by_distance_power():
@@ -177,9 +179,7 @@ def test_scheme_not_generated_by_distance_power():
             for j in range(3):
                 p[k][i][j] = sum(1 for w in range(n)
                                  if idx[u][w] == i and idx[w][v] == j)
-    s = AssociationScheme(
-        classes=mats,
-        intersection_numbers=tuple(tuple(tuple(r) for r in pk) for pk in p))
+    s = AssociationScheme.of(n, [_flat(m) for m in mats], p)
     assert not generates_scheme_check(s, WalkAlgebra.of(complete_graph(n)))
     k33 = build_graph(n, [(u, v) for u in range(n) for v in range(n) if rest[u][v]])
     assert generates_scheme_check(s, WalkAlgebra.of(k33))
@@ -189,16 +189,22 @@ def test_scheme_not_generated_by_distance_power():
     assert generates_scheme_check(build_scheme(rep, rep.partition), alg)
 
 
+def _flat(m) -> list:
+    return [x for row in m for x in row]
+
+
 def test_generates_scheme_check_edge_cases(petersen):
     """The partition test agrees with the n^2-row span test on a scheme
-    with two classes merged and an all-zero class, on a class holding a 2
-    or a -1, on reordered classes, and on the walk classes of a graph with
-    r > d. Classes that do not partition V x V read False even where they
-    span A(Gamma), as with 2 J_1 in place of J_1, and so do classes of the
-    wrong size."""
+    with two classes merged and an all-zero class, on reordered classes,
+    and on the walk classes of a graph with r > d; a scheme on another
+    number of points reads False. Class matrices that hold a 2 or a -1,
+    that span A(Gamma) with 2 J_1 in place of J_1, or that have the wrong
+    size are no scheme: `AssociationScheme.of` rejects them, whatever the
+    span test says of them."""
     alg = WalkAlgebra.of(petersen)
     rep = decide_quotient_polynomial(alg)
-    i_mat, a, rest = build_scheme(rep, rep.partition).classes
+    i_mat, a, rest = scheme_classes(build_scheme(rep, rep.partition))
+    n = len(a)
     ladder = adjacency_power_ladder_reference(petersen)
     v = a[0].index(1)
     two, negative = [row[:] for row in a], [row[:] for row in rest]
@@ -207,31 +213,31 @@ def test_generates_scheme_check_edge_cases(petersen):
     cases = [
         ((i_mat, [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, rest)],
           [[0] * len(row) for row in a]), False),
-        ((i_mat, two, rest), False),
-        ((i_mat, a, negative), False),
         ((rest, i_mat, a), True),
     ]
     for classes, want in cases:
-        s = AssociationScheme(classes=classes, intersection_numbers=())
+        s = AssociationScheme.of(n, list(map(_flat, classes)), ())
         assert generates_scheme_check(s, alg) is want
-        assert generates_scheme_check_reference(s, ladder) is want
-    doubled = AssociationScheme(
-        classes=(i_mat, [[2 * x for x in row] for row in a], rest),
-        intersection_numbers=())
-    assert generates_scheme_check_reference(doubled, ladder) is True
-    assert generates_scheme_check(doubled, alg) is False
-    short = AssociationScheme(classes=(i_mat, a, rest[:-1]),
-                              intersection_numbers=())
-    assert generates_scheme_check(short, alg) is False
+        assert generates_scheme_check_reference(classes, ladder) is want
+    doubled = (i_mat, [[2 * x for x in row] for row in a], rest)
+    for classes, want in [((i_mat, two, rest), False),
+                          ((i_mat, a, negative), False), (doubled, True)]:
+        assert generates_scheme_check_reference(classes, ladder) is want
+        with pytest.raises(GraphInputError, match="not 0 or 1"):
+            AssociationScheme.of(n, list(map(_flat, classes)), ())
+    with pytest.raises(GraphInputError, match="scheme class 2 has 90 entries"):
+        AssociationScheme.of(n, list(map(_flat, (i_mat, a, rest[:-1]))), ())
+    # a scheme on other points: K_5's, with r = d = 1, against Petersen's
+    k5 = decide_quotient_polynomial(WalkAlgebra.of(complete_graph(5)))
+    assert generates_scheme_check(build_scheme(k5, k5.partition), alg) is False
     # K_{1,3}'s walk classes, its own partition, but r = 3 > d = 2
     star = star_graph(4)
     alg = WalkAlgebra.of(star)
     pp = alg.partition
-    walk = AssociationScheme(
-        classes=tuple(class_matrix(pp, i) for i in range(pp.r + 1)),
-        intersection_numbers=())
+    walk = tuple(class_matrix(pp, i) for i in range(pp.r + 1))
     assert (pp.r, alg.d) == (3, 2)
-    assert generates_scheme_check(walk, alg) is False
+    assert generates_scheme_check(
+        AssociationScheme.of(pp.n, list(map(_flat, walk)), ()), alg) is False
     assert generates_scheme_check_reference(
         walk, adjacency_power_ladder_reference(star)) is False
 
@@ -273,15 +279,16 @@ def test_scheme_via_solve_rejects_wrong_scheme(petersen):
     s = build_scheme(rep, rep.partition)
     p = [[list(row) for row in pk] for pk in s.intersection_numbers]
     p[1][1][1] += 1
-    off_by_one = AssociationScheme(
-        classes=s.classes,
-        intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
+    off_by_one = dataclasses.replace(
+        s, intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
     assert not scheme_via_solve(off_by_one)
-    v = s.classes[1][0].index(1)                # (0, v) lies in class 1
-    overlap = [[row[:] for row in m] for m in s.classes]
+    overlap = scheme_classes(s)
+    v = overlap[1][0].index(1)                  # (0, v) lies in class 1
     overlap[2][0][v] = overlap[2][v][0] = 1
-    assert not scheme_via_solve(AssociationScheme(
-        classes=tuple(overlap), intersection_numbers=s.intersection_numbers))
+    with pytest.raises(GraphInputError,
+                       match=rf"pair \(0, {v}\) is in scheme classes 1 and 2"):
+        AssociationScheme.of(s.n, list(map(_flat, overlap)),
+                             s.intersection_numbers)
 
 
 @pytest.fixture
@@ -342,8 +349,7 @@ def test_scheme_ring_check(petersen, circ17):
     s = build_scheme(rep, rep.partition)
     p = [[list(row) for row in pk] for pk in s.intersection_numbers]
     p[2][1][3] += 1
-    off_by_one = AssociationScheme(
-        classes=s.classes,
-        intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
+    off_by_one = dataclasses.replace(
+        s, intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p))
     with pytest.raises(ContractViolationError, match="p_1 p_3"):
         scheme_ring_check(alg, rep, off_by_one)
