@@ -21,26 +21,6 @@ from .exact import Polynomial
 from .graphs import Graph, require_connected
 
 
-@dataclass(frozen=True)
-class Ladder:
-    """What the class-level pass over I, A, ..., A^d keeps: the walk classes
-    of V x V with their walk vectors, so A^l[u][v] is entry l of the vector
-    of the class of (u, v); d+1 pairs whose walk vectors form the basis
-    block B, its integer inverse adj = det * B^-1, and the minimal
-    polynomial. No power is kept. len() is d+1, the adjacency algebra
-    dimension."""
-
-    class_ids: tuple[int, ...]                 # pair u*n+v -> class
-    class_vectors: tuple[tuple[int, ...], ...]  # class -> (a^(0)..a^(d))
-    basis_pairs: tuple[int, ...]               # row i of B is at pair i
-    adj: tuple[tuple[int, ...], ...]
-    det: int
-    minimal_polynomial: Polynomial
-
-    def __len__(self) -> int:
-        return len(self.basis_pairs)
-
-
 def walk_step(g: Graph, power: np.ndarray) -> np.ndarray:
     """A P for the n x n integer array P: row u is the sum of the rows P[w]
     over the neighbours w of u, one `np.add.reduceat` over the gathered
@@ -59,9 +39,10 @@ def walk_step(g: Graph, power: np.ndarray) -> np.ndarray:
     return np.add.reduceat(rows[flat], starts, axis=0)
 
 
-def adjacency_power_ladder(g: Graph) -> Ladder:
-    """The walk classes of I, A, ..., A^d, where d+1 is the adjacency
-    algebra dimension.
+def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
+    """The walk algebra of g, read off I, A, ..., A^d, where d+1 is the
+    adjacency algebra dimension. No power is kept. g may be disconnected;
+    `WalkAlgebra.of` checks connectivity first.
 
     One pass per power, holding one power at a time:
     - A^(l+1) is `walk_step` of A^l, a numpy array, exact in int64 or in
@@ -77,6 +58,13 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
       adj = det * B^-1 and bordered by one row and column per new power
       (fraction-free, after Bareiss). The first dependent power A^(d+1)
       ends the ladder, and its coordinates give the minimal polynomial.
+
+    At the end the classes are relabelled once, place[ids], into the report
+    order: diagonal classes (a^(0) = 1) first, by ascending walk vector;
+    then the rest by descending walk vector. That is the order by distance,
+    then descending walk vector: a class at distance i has a^(l) = 0 for
+    l < i and a^(i) > 0, so its vector is the larger against any class at a
+    greater distance. The rows of B are read as the classes of its pairs.
     """
     n = g.n
     upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
@@ -97,14 +85,21 @@ def adjacency_power_ladder(g: Graph) -> Ladder:
             if t:
                 break
         else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
+            vec = vectors.__getitem__
+            order = (sorted((k for k, v in enumerate(vectors) if v[0]), key=vec)
+                     + sorted((k for k, v in enumerate(vectors) if not v[0]),
+                              key=vec, reverse=True))
+            ids = np.argsort(order)[ids]  # place[ids], place = order^-1
             full = np.zeros(n * n, dtype=np.int64)
             full[upper] = ids
             full = full.reshape(n, n)  # zero below the diagonal
-            return Ladder(tuple((full | full.T).ravel().tolist()),
-                          tuple(vectors),
-                          tuple(upper[basis].tolist()),
-                          tuple(map(tuple, adj)), det,
-                          Polynomial.of([Fraction(-c, det) for c in y] + [1]))
+            flat = (full | full.T).ravel()
+            pp = PairPartition(n, tuple(flat.tolist()), tuple(map(vec, order)))
+            flat.flags.writeable = False
+            vars(pp)["flat_index"] = flat  # the same labels, as an array
+            return WalkAlgebra(
+                g, pp, tuple(ids[basis].tolist()), tuple(map(tuple, adj)),
+                det, Polynomial.of([Fraction(-c, det) for c in y] + [1]))
         # border B with the row m_j, x_j and the column b: det' = t
         z = [sum(c * a for c, a in zip(m, col)) for col in zip(*adj)]  # m adj
         grown = []
@@ -133,8 +128,8 @@ def _first_nonzero(vec) -> int:
 @dataclass(frozen=True)
 class PairPartition:
     """The partition {J_0,...,J_r} of V x V by walk-vector equality, held
-    once: pair (u,v) is in class class_ids[u*n+v], as in `Ladder`. Class
-    sizes, first pairs, rows and pair lists are all read off this labelling.
+    once: pair (u,v) is in class class_ids[u*n+v]. Class sizes, first pairs,
+    rows and pair lists are all read off this labelling.
     Diagonal classes come first, then the others by (distance, descending
     walk vector), so output is reproducible."""
 
@@ -144,11 +139,20 @@ class PairPartition:
 
     @staticmethod
     def of(n: int, vectors, classes) -> PairPartition:
-        """The partition with these walk vectors and pair lists, which must
-        partition V x V; a class may be empty. Raises GraphInputError."""
+        """The partition with these walk vectors, all of one length, and
+        pair lists of two int vertices each, which must partition V x V; a
+        class may be empty. Raises GraphInputError, naming the class."""
         ids = [-1] * (n * n)
-        for k, cls in enumerate(classes):
-            for u, v in cls:
+        for k, (vec, cls) in enumerate(zip(vectors, classes)):
+            if len(vec) != len(vectors[0]):
+                raise GraphInputError(f"class {k} has a walk vector of length "
+                                      f"{len(vec)}, not {len(vectors[0])}")
+            for pair in cls:
+                if not (type(pair) in (list, tuple)
+                        and list(map(type, pair)) == [int, int]):
+                    raise GraphInputError(f"class {k} has pair {pair!r}, "
+                                          "not two int vertices")
+                u, v = pair
                 if not (0 <= u < n and 0 <= v < n):
                     raise GraphInputError(f"pair ({u}, {v}) lies outside V x V")
                 if ids[u * n + v] >= 0:
@@ -206,28 +210,11 @@ def same_partition(a, na: int, b, nb: int) -> bool:
     return bool((met.sum(axis=0) == 1).all() and (met.sum(axis=1) == 1).all())
 
 
-def _ordered_partition(n: int, ids, vectors) -> PairPartition:
-    """The pairs u*n+v labelled ids[u*n+v], with walk vectors vectors[ids],
-    relabelled place[ids] into the class order: diagonal classes
-    (a^(0) = 1) first, by ascending walk vector; then the rest by
-    descending walk vector. That is the order by distance, then descending
-    walk vector: a class at distance i has a^(l) = 0 for l < i and
-    a^(i) > 0, so its vector is the larger against any class at a greater
-    distance. No key tuple and no pair list is built."""
-    diagonal = [k for k, v in enumerate(vectors) if v[0]]
-    rest = [k for k, v in enumerate(vectors) if not v[0]]
-    diagonal.sort(key=vectors.__getitem__)
-    rest.sort(key=vectors.__getitem__, reverse=True)
-    order = diagonal + rest
-    place = {k: i for i, k in enumerate(order)}
-    return PairPartition(n, tuple(map(place.__getitem__, ids)),
-                         tuple(vectors[k] for k in order))
-
-
 @dataclass(frozen=True)
 class WalkAlgebra:
-    """The adjacency algebra A(Gamma) = span(I, A, ..., A^d) of a connected
-    graph, read on its r+1 walk classes; build it once with `of`.
+    """The adjacency algebra A(Gamma) = span(I, A, ..., A^d) of a graph,
+    read on its r+1 walk classes; `adjacency_power_ladder` builds it in one
+    pass, and `of` builds it once connectivity is checked.
 
     Each A^l with l <= d is constant on every class by construction, so the
     (r+1) x (d+1) class walk matrix M, M[k][l] = a^(l) on class k, holds
@@ -240,6 +227,8 @@ class WalkAlgebra:
     The classes carry the metric too: dist(u,v) is the first l with
     A^l[u][v] > 0, inside the walk vector as D <= d on a connected graph,
     and every pair lies in one class, so D is the largest class distance.
+    `diameter` and `partition.class_distances` need a connected graph: on
+    another, some walk vector is all zero.
     """
 
     g: Graph
@@ -251,12 +240,9 @@ class WalkAlgebra:
 
     @staticmethod
     def of(g: Graph) -> WalkAlgebra:
+        """The walk algebra of a connected g; AnalysisError otherwise."""
         require_connected(g)
-        lad = adjacency_power_ladder(g)
-        pp = _ordered_partition(g.n, lad.class_ids, lad.class_vectors)
-        rows = tuple(pp.class_ids[p] for p in lad.basis_pairs)
-        return WalkAlgebra(g, pp, rows, lad.adj, lad.det,
-                           lad.minimal_polynomial)
+        return adjacency_power_ladder(g)
 
     @property
     def d(self) -> int:

@@ -338,22 +338,18 @@ def to_json(o) -> str:
 
 def _partition_json(pp: PairPartition, indent: str) -> str:
     """`_partition_dict(pp)` as `_to_json` writes it, without building it:
-    one template per class, with walk counts written as `str(x)` and each
-    pair of int vertices joined from the texts of its two ends."""
-    if not (all(pp.class_sizes) and all(pp.class_walk_vectors)):
-        # the template has no "[]"; report_from_dict reads "pairs": [] too
-        return _to_json(_partition_dict(pp), indent)
+    one template per class, each walk count x written as `"{x}"` (its digits
+    need no escape) and each pair joined from the texts of its two ends."""
     i2, i4, i6, i8, i10 = (indent + " " * k for k in (2, 4, 6, 8, 10))
-    head = "{\n" + i6 + '"walk_vector": [\n' + i8
-    mid = "\n" + i6 + "],\n" + i6 + '"pairs": [\n' + i8
-    tail = "\n" + i6 + "]\n" + i4 + "}"
-    sep = ",\n" + i8
+    head = "{\n" + i6 + '"walk_vector": '
+    mid = ",\n" + i6 + '"pairs": '
+    tail = "\n" + i4 + "}"
     starts = [f"[\n{i10}{u},\n{i10}" for u in range(pp.n)]
     ends = [f"{v}\n{i8}]" for v in range(pp.n)]
     texts = [a + b for a in starts for b in ends]  # pair u*n+v
     classes = [
-        head + sep.join(map(encode_basestring_ascii, map(str, vec))) + mid
-        + sep.join(pairs) + tail
+        head + _block([f'"{x}"' for x in vec], i6)
+        + mid + _block(pairs, i6) + tail
         for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))]
     return (f'{{\n{i2}"num_classes": {pp.r + 1},\n'
             f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
@@ -417,6 +413,17 @@ def report_to_text(report: Report) -> str:
     return "\n".join(lines)
 
 
+def _walk_vector(k: int, texts) -> tuple[int, ...]:
+    """Class k's walk vector from its decimal strings."""
+    try:
+        if all(type(x) is str for x in texts):
+            return tuple(map(int, texts))
+    except ValueError:
+        pass
+    raise GraphInputError(f"class {k} has walk vector {texts!r}, "
+                          "not decimal strings")
+
+
 def report_from_dict(d: dict) -> Report:
     """Rebuild a Report from its JSON dict; inverse of report_to_dict."""
     spectrum = _decode(_SPECTRUM, d["spectrum"]) if "spectrum" in d else {}
@@ -430,7 +437,7 @@ def report_from_dict(d: dict) -> Report:
                                   f"{n} vertices")
         classes = d["partition"]["classes"]
         pp = PairPartition.of(
-            n, tuple(tuple(int(x) for x in c["walk_vector"]) for c in classes),
+            n, [_walk_vector(k, c["walk_vector"]) for k, c in enumerate(classes)],
             [c["pairs"] for c in classes])
         report.quotient = QuotientReport(
             **_decode(_QUOTIENT, d["quotient"]), partition=pp)

@@ -106,8 +106,9 @@ class AssociationScheme:
     def of(n: int, classes, intersection_numbers) -> AssociationScheme:
         """The scheme whose class k is the flat 0/1 list classes[k], entry
         u*n+v for the pair (u,v), as the JSON writes it; the classes must
-        partition V x V, and a class may be empty. Raises GraphInputError,
-        naming the class and the pair, as `PairPartition.of` does."""
+        partition V x V, and a class may be empty; p[k][i][j] is an int for
+        every k, i, j. Raises GraphInputError, naming the class and the pair,
+        as `PairPartition.of` does."""
         ids = np.full(n * n, -1, dtype=np.int64)
         for k, flat in enumerate(classes):
             if len(flat) != n * n:
@@ -129,11 +130,15 @@ class AssociationScheme:
         if len(missing):
             raise GraphInputError(
                 f"pair {divmod(int(missing[0]), n)} is in no scheme class")
-        if any(type(x) is not int
-               for pk in intersection_numbers for row in pk for x in row):
+        s = len(classes)
+        table = np.array(intersection_numbers, dtype=object)
+        if table.shape != (s, s, s):
+            raise GraphInputError(
+                f"intersection numbers are not a {s} x {s} x {s} array")
+        if any(type(x) is not int for x in table.flat):
             raise GraphInputError("an intersection number is not an int")
         return AssociationScheme(
-            n, len(classes) - 1, tuple(ids.tolist()),
+            n, s - 1, tuple(ids.tolist()),
             tuple(tuple(map(tuple, pk)) for pk in intersection_numbers))
 
     # `class_ids` as a read-only int64 array, cached as on `PairPartition`

@@ -8,22 +8,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quograph import (Polynomial, WalkAlgebra, adjacency_power_ladder,
-                      build_graph, parse_graph_spec, petersen_graph)
+from quograph import (AnalysisError, Polynomial, WalkAlgebra,
+                      adjacency_power_ladder, build_graph, parse_graph_spec,
+                      petersen_graph)
 from quograph.partitions import walk_step
 
 from oracles import (adjacency_power_ladder_reference, class_powers,
                      combine_powers, group_pairs, mat_mul)
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
 
 def ladder_off_classes(g):
     """I, A, ..., A^d read off the ladder's walk classes, all (d+1) n^2
     entries: A^l[u][v] is entry l of the walk vector of the class of (u,v)."""
-    lad = adjacency_power_ladder(g)
-    assert {len(vec) for vec in lad.class_vectors} == {len(lad)}
-    vecs = [lad.class_vectors[k] for k in lad.class_ids]
+    alg = adjacency_power_ladder(g)
+    assert {len(vec) for vec in alg.m} == {alg.d + 1}
+    vecs = [alg.m[k] for k in alg.partition.class_ids]
     return [[[vecs[u * g.n + v][l] for v in range(g.n)] for u in range(g.n)]
-            for l in range(len(lad))]
+            for l in range(alg.d + 1)]
 
 
 def test_corpus_ladders_and_partitions_match_reference(small_corpus):
@@ -31,6 +34,24 @@ def test_corpus_ladders_and_partitions_match_reference(small_corpus):
         want = adjacency_power_ladder_reference(g)
         assert ladder_off_classes(g) == want
         assert WalkAlgebra.of(g).partition == group_pairs(g.n, want)
+
+
+def test_ladder_is_the_walk_algebra(small_corpus):
+    """The ladder pass builds the walk algebra itself, field for field, and
+    `of` is the connectivity check in front of it: on a disconnected graph
+    `of` raises while the ladder still returns an algebra."""
+    sys.path.insert(0, str(BENCH))
+    from inputs import DEFAULT_SEED, workload_inputs
+    graphs = small_corpus + [parse_graph_spec(spec) for spec
+                             in workload_inputs("large", DEFAULT_SEED)]
+    assert len(graphs) == 1200
+    for g in graphs:
+        assert adjacency_power_ladder(g) == WalkAlgebra.of(g)
+    g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+    with pytest.raises(AnalysisError, match="disconnected"):
+        WalkAlgebra.of(g)
+    alg = adjacency_power_ladder(g)
+    assert isinstance(alg, WalkAlgebra) and alg.partition.n == 5
 
 
 def test_large_ladders_match_reference():
@@ -41,8 +62,8 @@ def test_large_ladders_match_reference():
         g = parse_graph_spec(spec)
         assert ladder_off_classes(g) == adjacency_power_ladder_reference(g), spec
     # its walk counts outgrow int64, so the object path of walk_step is run
-    lad = adjacency_power_ladder(parse_graph_spec("circulant:72:1,4"))
-    assert max(x.bit_length() for vec in lad.class_vectors for x in vec) > 63
+    alg = adjacency_power_ladder(parse_graph_spec("circulant:72:1,4"))
+    assert max(x.bit_length() for vec in alg.m for x in vec) > 63
 
 
 @st.composite
@@ -87,9 +108,9 @@ def test_petersen_minimal_polynomial():
 
 def test_ladder_of_single_vertex():
     g = build_graph(1, [])
-    lad = adjacency_power_ladder(g)
-    assert ladder_off_classes(g) == [[[1]]] and len(lad) == 1
-    assert lad.minimal_polynomial == Polynomial.of([0, 1])
+    alg = adjacency_power_ladder(g)
+    assert ladder_off_classes(g) == [[[1]]] and alg.d + 1 == 1
+    assert alg.minimal_polynomial == Polynomial.of([0, 1])
 
 
 def neighbour_sums(g, power):

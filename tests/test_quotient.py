@@ -176,8 +176,10 @@ def test_readoff_matches_oracles(small_corpus, corpus_reports):
             *rest, a, b = classes
             merged = (*rest, [[x + y for x, y in zip(ra, rb)]
                               for ra, rb in zip(a, b)])
+            s = len(merged)
+            zeros = [[[0] * s for _ in range(s)] for _ in range(s)]
             assert generates_scheme_check(AssociationScheme.of(
-                g.n, [[x for row in m for x in row] for m in merged], ()),
+                g.n, [[x for row in m for x in row] for m in merged], zeros),
                 alg) is False
             assert generates_scheme_check_reference(merged, ladder) is False
         checked.append((g.n, rep.d))

@@ -154,6 +154,21 @@ def test_intersection_numbers_must_be_ints(petersen, entry):
         report_from_dict(d)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda p: p[0].pop(),               # a dropped row of p^0
+    lambda p: p.append(p[0]),           # an extra p^k
+    lambda p: p[1][2].append(0),        # a row one entry too long
+])
+def test_intersection_numbers_must_be_a_cube(petersen, edit):
+    """report_from_dict rejects intersection numbers that are not a
+    (d+1) x (d+1) x (d+1) array; it used to read them, and the
+    `--debug-checks` witness then raised numpy's ValueError."""
+    d = report_to_dict(analyze(petersen))
+    edit(d["scheme"]["intersection_numbers"])
+    with pytest.raises(GraphInputError, match="not a 3 x 3 x 3 array"):
+        report_from_dict(d)
+
+
 def test_local_dimensions_must_have_n_entries(petersen):
     """report_from_dict rejects a local dimension list whose length is not
     n; it used to return it."""
@@ -196,11 +211,22 @@ def test_empty_partition_lists(petersen):
      r"pair \(0, 2\) is listed in classes 1 and 2"),
     (lambda cls: cls[2]["pairs"].append([0, 10]),
      r"pair \(0, 10\) lies outside V x V"),
+    (lambda cls: cls[2]["pairs"].append([0.0, 0]),
+     r"class 2 has pair \[0.0, 0\], not two int vertices"),
+    (lambda cls: cls[2]["pairs"].append([0, 0, 1]),
+     r"class 2 has pair \[0, 0, 1\], not two int vertices"),
+    (lambda cls: cls[1]["walk_vector"].__setitem__(0, "x"),
+     r"class 1 has walk vector \['x', '1', '0'\], not decimal strings"),
+    (lambda cls: cls[2]["walk_vector"].pop(),
+     r"class 2 has a walk vector of length 2, not 3"),
 ])
 def test_partition_pairs_must_partition_pairs(petersen, edit, message):
     """report_from_dict rejects pair lists that miss a pair, list one twice,
     or list one outside V x V, naming the pair; it used to file a missing
-    pair under class 0 and a repeated one under its last class."""
+    pair under class 0 and a repeated one under its last class. A pair that
+    is not two ints, a walk-vector entry that is not a decimal string and a
+    walk vector of another length are rejected too, naming the class; they
+    used to raise TypeError or ValueError, or be read."""
     d = report_to_dict(analyze(petersen))
     edit(d["partition"]["classes"])
     with pytest.raises(GraphInputError, match=message):
@@ -248,8 +274,10 @@ def test_scheme_section_writes_as_dumps():
     rpt = analyze(petersen_graph())
     s = rpt.scheme
     flats = report_to_dict(rpt)["scheme"]["classes"]
-    rpt.scheme = AssociationScheme.of(s.n, flats + [[0] * (s.n * s.n)],
-                                      s.intersection_numbers)
+    # the empty class 3 meets no pair: 0 in every p^k_ij that names it
+    p = [[list(row) + [0] for row in pk] + [[0] * 4]
+         for pk in s.intersection_numbers] + [[[0] * 4] * 4]
+    rpt.scheme = AssociationScheme.of(s.n, flats + [[0] * (s.n * s.n)], p)
     assert rpt.scheme.num_classes == 3 and 3 not in rpt.scheme.class_ids
     for rpt in qp + [rpt]:
         assert_writes_as_dumps(rpt)

@@ -193,6 +193,11 @@ def _flat(m) -> list:
     return [x for row in m for x in row]
 
 
+def _zeros(s: int) -> list:
+    """An s x s x s table of intersection numbers, all 0."""
+    return [[[0] * s for _ in range(s)] for _ in range(s)]
+
+
 def test_generates_scheme_check_edge_cases(petersen):
     """The partition test agrees with the n^2-row span test on a scheme
     with two classes merged and an all-zero class, on reordered classes,
@@ -216,7 +221,7 @@ def test_generates_scheme_check_edge_cases(petersen):
         ((rest, i_mat, a), True),
     ]
     for classes, want in cases:
-        s = AssociationScheme.of(n, list(map(_flat, classes)), ())
+        s = AssociationScheme.of(n, list(map(_flat, classes)), _zeros(3))
         assert generates_scheme_check(s, alg) is want
         assert generates_scheme_check_reference(classes, ladder) is want
     doubled = (i_mat, [[2 * x for x in row] for row in a], rest)
@@ -224,9 +229,10 @@ def test_generates_scheme_check_edge_cases(petersen):
                           ((i_mat, a, negative), False), (doubled, True)]:
         assert generates_scheme_check_reference(classes, ladder) is want
         with pytest.raises(GraphInputError, match="not 0 or 1"):
-            AssociationScheme.of(n, list(map(_flat, classes)), ())
+            AssociationScheme.of(n, list(map(_flat, classes)), _zeros(3))
     with pytest.raises(GraphInputError, match="scheme class 2 has 90 entries"):
-        AssociationScheme.of(n, list(map(_flat, (i_mat, a, rest[:-1]))), ())
+        AssociationScheme.of(n, list(map(_flat, (i_mat, a, rest[:-1]))),
+                             _zeros(3))
     # a scheme on other points: K_5's, with r = d = 1, against Petersen's
     k5 = decide_quotient_polynomial(WalkAlgebra.of(complete_graph(5)))
     assert generates_scheme_check(build_scheme(k5, k5.partition), alg) is False
@@ -237,7 +243,8 @@ def test_generates_scheme_check_edge_cases(petersen):
     walk = tuple(class_matrix(pp, i) for i in range(pp.r + 1))
     assert (pp.r, alg.d) == (3, 2)
     assert generates_scheme_check(
-        AssociationScheme.of(pp.n, list(map(_flat, walk)), ()), alg) is False
+        AssociationScheme.of(pp.n, list(map(_flat, walk)), _zeros(4)),
+        alg) is False
     assert generates_scheme_check_reference(
         walk, adjacency_power_ladder_reference(star)) is False
 
