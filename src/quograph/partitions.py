@@ -89,10 +89,9 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
             order = (sorted((k for k, v in enumerate(vectors) if v[0]), key=vec)
                      + sorted((k for k, v in enumerate(vectors) if not v[0]),
                               key=vec, reverse=True))
-            ids = np.argsort(order)[ids]  # place[ids], place = order^-1
-            full = np.zeros(n * n, dtype=np.int64)
-            full[upper] = ids
-            full = full.reshape(n, n)  # zero below the diagonal
+            ids = np.argsort(order, kind="stable")[ids]  # place = order^-1
+            full = np.zeros((n, n), dtype=np.int64)
+            full.flat[upper] = ids  # zero below the diagonal
             flat = (full | full.T).ravel()
             pp = PairPartition(n, tuple(flat.tolist()), tuple(map(vec, order)))
             flat.flags.writeable = False

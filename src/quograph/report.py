@@ -338,18 +338,21 @@ def to_json(o) -> str:
 
 def _partition_json(pp: PairPartition, indent: str) -> str:
     """`_partition_dict(pp)` as `_to_json` writes it, without building it:
-    one template per class, each walk count x written as `"{x}"` (its digits
-    need no escape) and each pair joined from the texts of its two ends."""
+    one template per class joining quoted walk counts and pair texts, with no
+    line break inside an empty list's brackets; digits need no escape."""
     i2, i4, i6, i8, i10 = (indent + " " * k for k in (2, 4, 6, 8, 10))
-    head = "{\n" + i6 + '"walk_vector": '
-    mid = ",\n" + i6 + '"pairs": '
-    tail = "\n" + i4 + "}"
+    head = "{\n" + i6 + '"walk_vector": ['
+    mid = "],\n" + i6 + '"pairs": ['
+    tail = "]\n" + i4 + "}"
+    start, sep, end = "\n" + i8, ",\n" + i8, "\n" + i6
+    qstart, qsep, qend, last = start + '"', f'"{sep}"', '"' + end, end + tail
     starts = [f"[\n{i10}{u},\n{i10}" for u in range(pp.n)]
     ends = [f"{v}\n{i8}]" for v in range(pp.n)]
     texts = [a + b for a in starts for b in ends]  # pair u*n+v
     classes = [
-        head + _block([f'"{x}"' for x in vec], i6)
-        + mid + _block(pairs, i6) + tail
+        head + (qstart if vec else "") + qsep.join(map(str, vec))
+        + (qend if vec else "") + mid + (start if pairs else "")
+        + sep.join(pairs) + (last if pairs else tail)
         for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))]
     return (f'{{\n{i2}"num_classes": {pp.r + 1},\n'
             f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
@@ -414,14 +417,13 @@ def report_to_text(report: Report) -> str:
 
 
 def _walk_vector(k: int, texts) -> tuple[int, ...]:
-    """Class k's walk vector from its decimal strings."""
-    try:
-        if all(type(x) is str for x in texts):
-            return tuple(map(int, texts))
-    except ValueError:
-        pass
-    raise GraphInputError(f"class {k} has walk vector {texts!r}, "
-                          "not decimal strings")
+    """Class k's walk vector from a list of strings as `str` writes ints."""
+    if type(texts) is not list or not all(
+            type(x) is str and x.isascii() and x.isdecimal()
+            and str(int(x)) == x for x in texts):
+        raise GraphInputError(f"class {k} has walk vector {texts!r}, "
+                              "not decimal strings")
+    return tuple(map(int, texts))
 
 
 def report_from_dict(d: dict) -> Report:

@@ -217,6 +217,8 @@ def test_empty_partition_lists(petersen):
      r"class 2 has pair \[0, 0, 1\], not two int vertices"),
     (lambda cls: cls[1]["walk_vector"].__setitem__(0, "x"),
      r"class 1 has walk vector \['x', '1', '0'\], not decimal strings"),
+    (lambda cls: cls[1]["walk_vector"].__setitem__(0, "+1"),
+     r"class 1 has walk vector \['\+1', '1', '0'\], not decimal strings"),
     (lambda cls: cls[2]["walk_vector"].pop(),
      r"class 2 has a walk vector of length 2, not 3"),
 ])
