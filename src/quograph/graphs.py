@@ -39,11 +39,31 @@ class Graph:
                 for u in range(self.n)]
 
     @cached_property
+    def degrees_skewed(self) -> bool:
+        """Padding every vertex's neighbours up to the largest degree k_max
+        would more than double them: n k_max > 2 * (sum of degrees), as on a
+        star or a hub. `partitions.walk_step` then gathers `neighbor_runs`,
+        and `neighbor_table` otherwise; decided once per graph."""
+        degrees = self.degree_sequence()
+        return self.n * max(degrees) > 2 * sum(degrees)
+
+    @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """A (k_max, n) index array whose column u holds the neighbours of
+        u, ascending, padded with n up to the largest degree k_max: the
+        gather of `partitions.walk_step`, where n indexes an appended zero
+        row, built once per graph."""
+        k_max = max(map(len, self.neighbors))
+        return np.array([sorted(nb) + [self.n] * (k_max - len(nb))
+                         for nb in self.neighbors], dtype=np.int64).T
+
+    @cached_property
     def neighbor_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """The neighbours of 0, ..., n-1, each ascending, in one index
         array, with n standing in for the neighbours of an isolated vertex,
         and where the run of each vertex starts: the gather and the segments
-        of `partitions.walk_step`, built once per graph."""
+        of `partitions.walk_step` on a graph whose degrees are skewed, built
+        once per graph."""
         runs = [sorted(nb) or [self.n] for nb in self.neighbors]
         return (np.array([w for run in runs for w in run]),
                 np.array(list(accumulate(map(len, runs[:-1]), initial=0))))

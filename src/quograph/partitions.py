@@ -23,20 +23,72 @@ from .graphs import Graph, require_connected
 
 def walk_step(g: Graph, power: np.ndarray) -> np.ndarray:
     """A P for the n x n integer array P: row u is the sum of the rows P[w]
-    over the neighbours w of u, one `np.add.reduceat` over the gathered
-    rows, O(n^2 k) additions and not an O(n^3) product. A vertex with no
-    neighbours points at an appended zero row.
+    over the neighbours w of u, O(n^2 k) additions and not an O(n^3)
+    product. The rows are gathered through `g.neighbor_table`, padded with
+    an index of an appended zero row, and summed over the table's k_max
+    rows; on a graph whose degrees are skewed (`g.degrees_skewed`, a star
+    say) they are gathered unpadded through `g.neighbor_runs` and summed
+    run by run, one `np.add.reduceat`, where a vertex with no neighbours
+    points at the zero row. Both forms add the same entries.
 
     Exact in every case: each entry of A P sums at most k_max entries of P,
     so int64 cannot overflow while max |P| * k_max < 2^63. Past that bound
     P is cast to an object array of Python ints, and A P stays one."""
-    flat, starts = g.neighbor_runs
     if power.dtype != object:
         top = max(int(power.max()), -int(power.min()))
         if top * max(map(len, g.neighbors)) >= 1 << 63:
             power = power.astype(object)
     rows = np.concatenate([power, np.zeros((1, g.n), power.dtype)])
-    return np.add.reduceat(rows[flat], starts, axis=0)
+    if g.degrees_skewed:
+        flat, starts = g.neighbor_runs
+        return np.add.reduceat(rows[flat], starts, axis=0)
+    return np.add.reduce(rows[g.neighbor_table], axis=0)
+
+
+# Past this many pairs u <= v an int64 power refines its classes by one
+# sort; up to it, and for object powers, by hashing (class, value) pairs
+# in a dict, as sorting Python ints loses to hashing them. Timed per power
+# on the refinements of real ladders (2-core VM, Python 3.11, numpy 2.4):
+# at 36 pairs the dict took 9 us and the sort 28 us; on cycles the sort
+# lost at 136 pairs and won from 210 (cycle:24, 300 pairs: 62 against
+# 40 us); on random G(n, p), with more classes, the two stayed level up to
+# about 500 pairs, and the sort won past that (820 pairs: 250 against
+# 218 us).
+SORT_REFINE_PAIRS = 200
+
+
+def _refine(ids, vals: np.ndarray):
+    """The classes ids split by the entries vals of a new power, keyed by
+    (class, value) as in 1-WL colour refinement and labelled in order of
+    first appearance: the new labels, the (class, value) of each new class
+    in label order, and a function from a new class to its first position.
+
+    An int64 power past SORT_REFINE_PAIRS pairs takes one stable lexsort
+    by (class, value): a group starts where either key changes, its first
+    position is the sorted position that starts it, and the groups are
+    relabelled by first position, which gives the labels the dict gives."""
+    if vals.dtype == object or len(vals) <= SORT_REFINE_PAIRS:
+        if isinstance(ids, np.ndarray):  # sorted, before int64 overflowed
+            ids = ids.tolist()
+        keys: dict[tuple, int] = {}
+        new = [keys.setdefault(key, len(keys))
+               for key in zip(ids, vals.tolist())]
+        return new, list(keys), new.index
+    ids = np.asarray(ids)
+    srt = np.lexsort((vals, ids))
+    cls, val = ids[srt], vals[srt]
+    start = np.empty(len(srt), dtype=bool)
+    start[0] = True
+    start[1:] = (cls[1:] != cls[:-1]) | (val[1:] != val[:-1])
+    lead = srt[start]  # the first position of each group, in sorted order
+    order = np.argsort(lead, kind="stable")
+    label = np.empty_like(order)
+    label[order] = np.arange(len(order))
+    new = np.empty_like(srt)
+    new[srt] = label[np.cumsum(start) - 1]
+    first = lead[order]
+    return (new, list(zip(ids[first].tolist(), vals[first].tolist())),
+            first.item)
 
 
 def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
@@ -48,7 +100,9 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     - A^(l+1) is `walk_step` of A^l, a numpy array, exact in int64 or in
       Python ints;
     - the pair classes are refined by the key (class, new entry), as in
-      1-WL colour refinement, so every power so far is constant on them.
+      1-WL colour refinement, so every power so far is constant on them:
+      in a dict, or by one sort of an int64 power past SORT_REFINE_PAIRS
+      pairs (`_refine`), the two giving the same labels.
       Every A^l is symmetric, so only the pairs u <= v are refined, in
       row-major order, and their classes are copied to (v, u) at the end;
       the first pair of each class has u <= v, so the class ids are those
@@ -74,12 +128,11 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     basis: list[int] = []     # positions in upper of the rows of B
     adj, det = [], 1
     while True:
-        vals = cur.ravel()[upper].tolist()
-        b = [vals[p] for p in basis]
+        vals = cur.ravel()[upper]
+        b = list(map(vals.item, basis))  # Python ints
         y = [sum(a * x for a, x in zip(row, b)) for row in adj]  # det B^-1 b
-        keys: dict[tuple, int] = {}
-        new = [keys.setdefault(key, len(keys)) for key in zip(ids, vals)]
-        for j, (k, x) in enumerate(keys):
+        new, heads, first = _refine(ids, vals)
+        for j, (k, x) in enumerate(heads):
             m = vectors[k]
             t = det * x - sum(c * z for c, z in zip(m, y))
             if t:
@@ -112,8 +165,8 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
                 out.append(q)
             grown.append(out + [-yi])
         adj, det = grown + [[-zi for zi in z] + [det]], t
-        basis.append(new.index(j))
-        ids, vectors = new, [vectors[k] + (x,) for k, x in keys]
+        basis.append(first(j))
+        ids, vectors = new, [vectors[k] + (x,) for k, x in heads]
         cur = walk_step(g, cur)
 
 

@@ -221,10 +221,16 @@ def _class_pairs(pp: PairPartition, texts) -> list:
     return [pairs[lo:hi] for lo, hi in pairwise(bounds.tolist())]
 
 
+def _num_classes(pp: PairPartition) -> int:
+    """The classes that meet a pair: an empty class, which `analyze` never
+    makes, is not counted, so that r + 1 counts the classes of V x V."""
+    return sum(map(bool, pp.class_sizes))
+
+
 def _partition_dict(pp: PairPartition) -> dict:
     texts = [[u, v] for u in range(pp.n) for v in range(pp.n)]
     return {
-        "num_classes": pp.r + 1,
+        "num_classes": _num_classes(pp),
         "classes": [
             {"walk_vector": [str(x) for x in vec], "pairs": pairs}
             for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))
@@ -354,7 +360,7 @@ def _partition_json(pp: PairPartition, indent: str) -> str:
         + (qend if vec else "") + mid + (start if pairs else "")
         + sep.join(pairs) + (last if pairs else tail)
         for vec, pairs in zip(pp.class_walk_vectors, _class_pairs(pp, texts))]
-    return (f'{{\n{i2}"num_classes": {pp.r + 1},\n'
+    return (f'{{\n{i2}"num_classes": {_num_classes(pp)},\n'
             f'{i2}"classes": {_block(classes, i2)}\n{indent}}}')
 
 
@@ -432,8 +438,13 @@ def report_from_dict(d: dict) -> Report:
     report = Report(**_decode(_GRAPH, d["graph"]), **spectrum,
                     error=d.get("error"))
     n = report.n
+    if len(report.degree_sequence) != n:
+        raise GraphInputError(f"graph.degree_sequence has "
+                              f"{len(report.degree_sequence)} entries for "
+                              f"{n} vertices")
     if "quotient" in d:
-        dims = d["quotient"]["local_dimensions"]
+        q = d["quotient"]
+        dims = q["local_dimensions"]
         if len(dims) != n:
             raise GraphInputError(f"{len(dims)} local dimensions for "
                                   f"{n} vertices")
@@ -441,8 +452,15 @@ def report_from_dict(d: dict) -> Report:
         pp = PairPartition.of(
             n, [_walk_vector(k, c["walk_vector"]) for k, c in enumerate(classes)],
             [c["pairs"] for c in classes])
-        report.quotient = QuotientReport(
-            **_decode(_QUOTIENT, d["quotient"]), partition=pp)
+        num = _num_classes(pp)
+        for field, value, want in (
+                ("partition.num_classes", d["partition"]["num_classes"], num),
+                ("quotient.r", q["r"], num - 1),
+                ("quotient.d", q["d"], len(pp.class_walk_vectors[0]) - 1)):
+            if type(value) is not int or value != want:
+                raise GraphInputError(f"{field} is {value!r}, not the {want} "
+                                      "its partition gives")
+        report.quotient = QuotientReport(**_decode(_QUOTIENT, q), partition=pp)
     if "flags" in d:
         report.flags = ClassificationFlags(**_decode(_FLAGS, d["flags"]))
     if "scheme" in d:

@@ -8,6 +8,7 @@ m-vectors, scheme pair types counted at every vertex), so a fault in the
 library's own path cannot hide in both."""
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -164,6 +165,21 @@ def class_powers(alg: WalkAlgebra) -> list[list[list[int]]]:
     m, n, ids = alg.m, alg.g.n, alg.partition.class_ids
     return [[[m[c][l] for c in ids[u * n:(u + 1) * n]] for u in range(n)]
             for l in range(alg.d + 1)]
+
+
+def walk_algebra_digest(alg: WalkAlgebra) -> str:
+    """One sha256 over every field of a walk algebra: the partition's n,
+    class_ids and walk vectors, basis_rows, adj, det and the minimal
+    polynomial's coefficients, plus `flat_index`'s dtype, shape, read-only
+    flag and bytes. Equal digests mean equal algebras, field for field,
+    with the same cached array behind `flat_index`."""
+    pp, flat = alg.partition, alg.partition.flat_index
+    fields = (pp.n, pp.class_ids, pp.class_walk_vectors, alg.basis_rows,
+              alg.adj, alg.det, alg.minimal_polynomial.coeffs,
+              flat.dtype.str, flat.shape, flat.flags.writeable)
+    digest = hashlib.sha256(repr(fields).encode())
+    digest.update(flat.tobytes())
+    return digest.hexdigest()
 
 
 def combine_powers(coeffs, powers) -> RatMatrix:

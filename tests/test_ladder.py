@@ -1,20 +1,24 @@
 """The class-level ladder against the dense ladder it replaced, read off the
 walk classes entry by entry, and what the pass keeps: the bordered inverse
 of the basis block and the minimal polynomial."""
+import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from quograph import (AnalysisError, Polynomial, WalkAlgebra,
-                      adjacency_power_ladder, build_graph, parse_graph_spec,
-                      petersen_graph)
+                      adjacency_power_ladder, build_graph, cycle_graph,
+                      parse_graph_spec, petersen_graph, star_graph)
+from quograph import partitions
 from quograph.partitions import walk_step
 
 from oracles import (adjacency_power_ladder_reference, class_powers,
-                     combine_powers, group_pairs, mat_mul)
+                     combine_powers, group_pairs, mat_mul,
+                     walk_algebra_digest)
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -137,3 +141,100 @@ def test_walk_step_int64_bound(sign, over, dtype):
 def test_walk_step_of_single_vertex():
     step = walk_step(build_graph(1, []), np.eye(1, dtype=np.int64))
     assert step.dtype == np.int64 and step.tolist() == [[0]]
+
+
+def large_graphs():
+    sys.path.insert(0, str(BENCH))
+    from inputs import DEFAULT_SEED, workload_inputs
+    return [parse_graph_spec(spec)
+            for spec in workload_inputs("large", DEFAULT_SEED)]
+
+
+def assert_refinements_agree(graphs):
+    """The ladder gives one algebra, field for field, whether every int64
+    power is refined by the sort (crossover 0) or every power by the dict
+    (crossover above every pair count)."""
+    algebras = [adjacency_power_ladder(g) for g in graphs]
+    digests = list(map(walk_algebra_digest, algebras))
+    for pairs in (0, max(g.n for g in graphs) ** 2):
+        with mock.patch.object(partitions, "SORT_REFINE_PAIRS", pairs):
+            for g, alg, digest in zip(graphs, algebras, digests):
+                got = adjacency_power_ladder(g)
+                assert got == alg and walk_algebra_digest(got) == digest, (
+                    pairs, g)
+
+
+def test_refinement_forms_agree(small_corpus):
+    """Both refinement forms on the 1196 corpus graphs and the 4 large
+    inputs; `circulant:72:1,4` turns from int64 to object powers midway, so
+    the dict there takes over labels the sort made."""
+    graphs = small_corpus + large_graphs()
+    assert len(graphs) == 1200
+    assert_refinements_agree(graphs)
+
+
+@st.composite
+def random_gnp(draw):
+    """G(n, p) on 20..40 vertices, disconnected ones included: past the
+    crossover, with int64 powers before their walk counts outgrow int64."""
+    n = draw(st.integers(20, 40))
+    p = draw(st.floats(0.05, 0.95))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                           if rng.random() < p])
+
+
+@settings(max_examples=25, deadline=None)
+@given(random_gnp())
+def test_random_refinement_forms_agree(g):
+    assert g.n * (g.n + 1) // 2 > partitions.SORT_REFINE_PAIRS
+    assert_refinements_agree([g])
+
+
+def fan(n):
+    """A hub, vertex 0, joined to every vertex of the path 1..n-1."""
+    return build_graph(n, [(0, v) for v in range(1, n)]
+                       + [(v, v + 1) for v in range(1, n - 1)])
+
+
+def step_graphs():
+    rng = random.Random(20)
+    graphs = [star_graph(40), fan(31), cycle_graph(9), build_graph(6, [])]
+    for _ in range(20):
+        n, p = rng.randint(1, 30), rng.random()
+        graphs.append(build_graph(n, [(u, v) for u in range(n)
+                                      for v in range(u + 1, n)
+                                      if rng.random() < p]))
+    return graphs
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_walk_step_forms_agree(monkeypatch, big):
+    """The padded table and the runs give equal arrays, of one dtype, equal
+    to A P in Python ints: int64 powers of both signs, and object powers
+    whose entries outgrow int64."""
+    rng = np.random.default_rng(7)
+    for g in step_graphs():
+        power = rng.integers(-1000, 1000, (g.n, g.n))
+        if big:
+            power = power.astype(object) * 2**70
+        steps = []
+        for skewed in (False, True):
+            monkeypatch.setitem(vars(g), "degrees_skewed", skewed)
+            steps.append(walk_step(g, power))
+        table, runs = steps
+        assert table.dtype == runs.dtype == power.dtype
+        assert table.shape == runs.shape == (g.n, g.n)
+        assert table.tolist() == runs.tolist() == neighbour_sums(g, power)
+
+
+def test_walk_step_form_follows_degrees():
+    """A star or a hub, whose padding would more than double the gathered
+    rows, sums the runs; a cycle sums the padded table. Each builds only
+    the gather it uses."""
+    for g, skewed in [(star_graph(40), True), (fan(31), True),
+                      (cycle_graph(9), False), (petersen_graph(), False)]:
+        assert g.degrees_skewed == skewed
+        walk_step(g, np.eye(g.n, dtype=np.int64))
+        built = {"neighbor_table", "neighbor_runs"} & set(vars(g))
+        assert built == {"neighbor_runs" if skewed else "neighbor_table"}

@@ -178,6 +178,42 @@ def test_local_dimensions_must_have_n_entries(petersen):
         report_from_dict(d)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["partition"].__setitem__("num_classes", 7),
+     "partition.num_classes is 7, not the 3 its partition gives"),
+    (lambda d: d["quotient"].__setitem__("r", 5),
+     "quotient.r is 5, not the 2 its partition gives"),
+    (lambda d: d["quotient"].__setitem__("d", 6),
+     "quotient.d is 6, not the 2 its partition gives"),
+    (lambda d: d["quotient"].__setitem__("d", "2"),
+     "quotient.d is '2', not the 2 its partition gives"),
+    (lambda d: d["graph"]["degree_sequence"].pop(),
+     "graph.degree_sequence has 9 entries for 10 vertices"),
+])
+def test_counts_must_match_what_is_read(petersen, edit, message):
+    """report_from_dict rejects a class count, r or d that its partition
+    does not give, and a degree sequence whose length is not n, naming the
+    field; it used to rewrite num_classes 7 as 3, and to return r = 5 beside
+    a partition with r = 2, d = 6 beside walk vectors of length 3 and 9
+    degrees for 10 vertices."""
+    d = report_to_dict(analyze(petersen))
+    edit(d)
+    with pytest.raises(GraphInputError, match=message):
+        report_from_dict(d)
+
+
+def test_empty_class_is_not_counted(petersen):
+    """An empty class meets no pair, so it is not among the r + 1 classes:
+    written with one, a report reads back, its counts unchanged."""
+    d = report_to_dict(analyze(petersen))
+    d["partition"]["classes"].append({"walk_vector": ["0", "0", "5"],
+                                      "pairs": []})
+    rpt = report_from_dict(d)
+    assert rpt.quotient.partition.r == 3 and rpt.quotient.r == 2
+    assert report_to_dict(rpt) == d
+    assert report_to_dict(report_from_dict(json.loads(report_to_json(rpt)))) == d
+
+
 def test_big_walk_count(petersen):
     """A walk count past 2^64 is written whole, as a decimal string."""
     rpt = analyze(petersen)
