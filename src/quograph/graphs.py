@@ -42,7 +42,7 @@ class Graph:
     def degrees_skewed(self) -> bool:
         """Padding every vertex's neighbours up to the largest degree k_max
         would more than double them: n k_max > 2 * (sum of degrees), as on a
-        star or a hub. `partitions.walk_step` then gathers `neighbor_runs`,
+        star or a hub. The walk step and the float A then read `neighbor_runs`,
         and `neighbor_table` otherwise; decided once per graph."""
         degrees = self.degree_sequence()
         return self.n * max(degrees) > 2 * sum(degrees)
@@ -51,8 +51,8 @@ class Graph:
     def neighbor_table(self) -> np.ndarray:
         """A (k_max, n) index array whose column u holds the neighbours of
         u, ascending, padded with n up to the largest degree k_max: the
-        gather of `partitions.walk_step`, where n indexes an appended zero
-        row, built once per graph."""
+        gather of the walk step (`partitions._neighbor_sum`), where n indexes
+        an appended zero row, built once per graph."""
         k_max = max(map(len, self.neighbors))
         return np.array([sorted(nb) + [self.n] * (k_max - len(nb))
                          for nb in self.neighbors], dtype=np.int64).T
@@ -62,8 +62,8 @@ class Graph:
         """The neighbours of 0, ..., n-1, each ascending, in one index
         array, with n standing in for the neighbours of an isolated vertex,
         and where the run of each vertex starts: the gather and the segments
-        of `partitions.walk_step` on a graph whose degrees are skewed, built
-        once per graph."""
+        of the walk step on a graph whose degrees are skewed, built once per
+        graph."""
         runs = [sorted(nb) or [self.n] for nb in self.neighbors]
         return (np.array([w for run in runs for w in run]),
                 np.array(list(accumulate(map(len, runs[:-1]), initial=0))))

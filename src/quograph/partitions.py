@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -22,22 +23,22 @@ from .graphs import Graph, require_connected
 
 
 def walk_step(g: Graph, power: np.ndarray) -> np.ndarray:
-    """A P for the n x n integer array P: row u is the sum of the rows P[w]
-    over the neighbours w of u, O(n^2 k) additions and not an O(n^3)
-    product. The rows are gathered through `g.neighbor_table`, padded with
-    an index of an appended zero row, and summed over the table's k_max
-    rows; on a graph whose degrees are skewed (`g.degrees_skewed`, a star
-    say) they are gathered unpadded through `g.neighbor_runs` and summed
-    run by run, one `np.add.reduceat`, where a vertex with no neighbours
-    points at the zero row. Both forms add the same entries.
-
-    Exact in every case: each entry of A P sums at most k_max entries of P,
-    so int64 cannot overflow while max |P| * k_max < 2^63. Past that bound
-    P is cast to an object array of Python ints, and A P stays one."""
+    """A P for any n x n integer array P (`_neighbor_sum`), exact in every
+    case: each entry sums at most k_max entries of P, so int64 cannot
+    overflow while max |P| * k_max < 2^63. This check reads max |P| off P,
+    negative entries included; past the bound P is cast to an object array
+    of Python ints, and A P stays one. The ladder carries its own bound."""
     if power.dtype != object:
         top = max(int(power.max()), -int(power.min()))
         if top * max(map(len, g.neighbors)) >= 1 << 63:
             power = power.astype(object)
+    return _neighbor_sum(g, power)
+
+
+def _neighbor_sum(g: Graph, power: np.ndarray) -> np.ndarray:
+    """A P unchecked, O(n^2 k): row u sums the rows P[w], w ~ u, gathered
+    through `g.neighbor_table`, padded with n to index an appended zero row,
+    or, where `g.degrees_skewed`, through `g.neighbor_runs`, run by run."""
     rows = np.concatenate([power, np.zeros((1, g.n), power.dtype)])
     if g.degrees_skewed:
         flat, starts = g.neighbor_runs
@@ -97,8 +98,10 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     `WalkAlgebra.of` checks connectivity first.
 
     One pass per power, holding one power at a time:
-    - A^(l+1) is `walk_step` of A^l, a numpy array, exact in int64 or in
-      Python ints;
+    - A^(l+1) is `_neighbor_sum` of A^l, exact in int64 or in Python ints.
+      The ladder checks overflow by the bound max |A^(l+1)| <= k_max max |A^l|
+      and reads the exact max only once bound * k_max reaches 2^63, so it
+      casts at the step `walk_step`'s own check would;
     - the pair classes are refined by the key (class, new entry), as in
       1-WL colour refinement, so every power so far is constant on them:
       in a dict, or by one sort of an int64 power past SORT_REFINE_PAIRS
@@ -120,9 +123,9 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     l < i and a^(i) > 0, so its vector is the larger against any class at a
     greater distance. The rows of B are read as the classes of its pairs.
     """
-    n = g.n
+    n, k_max = g.n, max(map(len, g.neighbors))
     upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
-    cur = np.eye(n, dtype=np.int64)
+    cur, top = np.eye(n, dtype=np.int64), 1  # max |A^l| <= top
     ids = [0] * len(upper)    # every power so far is constant on each class
     vectors = [()]            # class -> its entries in the powers so far
     basis: list[int] = []     # positions in upper of the rows of B
@@ -130,11 +133,11 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     while True:
         vals = cur.ravel()[upper]
         b = list(map(vals.item, basis))  # Python ints
-        y = [sum(a * x for a, x in zip(row, b)) for row in adj]  # det B^-1 b
+        y = [sum(map(mul, row, b)) for row in adj]  # det B^-1 b
         new, heads, first = _refine(ids, vals)
         for j, (k, x) in enumerate(heads):
             m = vectors[k]
-            t = det * x - sum(c * z for c, z in zip(m, y))
+            t = det * x - sum(map(mul, m, y))
             if t:
                 break
         else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
@@ -151,23 +154,27 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
             vars(pp)["flat_index"] = flat  # the same labels, as an array
             return WalkAlgebra(
                 g, pp, tuple(ids[basis].tolist()), tuple(map(tuple, adj)),
-                det, Polynomial.of([Fraction(-c, det) for c in y] + [1]))
+                det, Polynomial.of([Fraction(-c, det) if c % det else -c // det
+                                    for c in y] + [1]))
         # border B with the row m_j, x_j and the column b: det' = t
-        z = [sum(c * a for c, a in zip(m, col)) for col in zip(*adj)]  # m adj
+        z = [sum(map(mul, m, col)) for col in zip(*adj)]  # m adj
         grown = []
         for row, yi in zip(adj, y):
-            out = []
-            for a, zi in zip(row, z):
-                q, rem = divmod(t * a + yi * zi, det)
-                if rem:
-                    raise ContractViolationError(
-                        "bordered inverse of the basis block is not integral")
-                out.append(q)
-            grown.append(out + [-yi])
+            out, rem = zip(*[divmod(t * a + yi * zi, det)
+                             for a, zi in zip(row, z)])
+            if any(rem):
+                raise ContractViolationError(
+                    "bordered inverse of the basis block is not integral")
+            grown.append([*out, -yi])
         adj, det = grown + [[-zi for zi in z] + [det]], t
         basis.append(first(j))
         ids, vectors = new, [vectors[k] + (x,) for k, x in heads]
-        cur = walk_step(g, cur)
+        if cur.dtype != object and top * k_max >= 1 << 63:
+            top = int(cur.max())  # walk counts are never negative
+            if top * k_max >= 1 << 63:
+                cur = cur.astype(object)  # as walk_step would cast it
+        cur = _neighbor_sum(g, cur)
+        top *= k_max  # each entry sums at most k_max entries of A^l
 
 
 def _first_nonzero(vec) -> int:

@@ -308,12 +308,12 @@ class _Encoded:
 
 
 def _block(items: list[str], indent: str, brackets: str = "[]") -> str:
-    """A JSON array (or object) of already encoded items, closed at indent."""
+    """A JSON array (or object) of already encoded items, closed at indent,
+    in one f-string around the one join: the body is copied once."""
     if not items:
         return brackets
-    inner = indent + "  "
-    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
-            + "\n" + indent + brackets[1])
+    sep = ",\n  " + indent  # indent is spaces
+    return f"{brackets[0]}\n  {indent}{sep.join(items)}\n{indent}{brackets[1]}"
 
 
 def _to_json(o, indent: str) -> str:

@@ -3,6 +3,8 @@ multiplicities, and the numeric cross-checks of the exact path.
 
 The exact distinct-eigenvalue count d+1 is authoritative: if numeric grouping
 disagrees, we abort with diagnostics instead of silently proceeding.
+The idempotents E_0..E_d are one read-only (d+1, n, n) array, descending, which
+`spectrum_partition` reads as an (n^2, d+1) view, with no stacked copy.
 """
 from __future__ import annotations
 
@@ -28,42 +30,49 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """idempotents[j] is E_j: one read-only (d+1, n, n) array in descending
+    eigenvalue order, whose (n^2, d+1) view spares a stacked copy."""
     spectrum: Spectrum
-    idempotents: tuple  # numpy arrays E_0..E_d, descending eigenvalue order
+    idempotents: np.ndarray
 
 
 def spectral_decomposition(alg: WalkAlgebra,
                            tol: float = DEFAULT_TOL) -> SpectralDecomposition:
     """Distinct eigenvalues, multiplicities, and minimal idempotents E_j.
 
-    Idempotents are assembled as V_j V_j^T from orthonormal eigenvector
-    blocks, which stays stable at clustered eigenvalues.
-    """
-    a = np.array(alg.g.adjacency_matrix(), dtype=float)
-    vals, vecs = np.linalg.eigh(a)  # ascending
-    lam0 = float(vals[-1])
-    thr = tol * max(1.0, abs(lam0))
-    groups: list[list[int]] = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[groups[-1][0]] > thr:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    if len(groups) != alg.d + 1:
-        gaps = np.diff(vals)
+    A is scattered from the neighbour index `walk_step` gathers through. E_j
+    is V_j V_j^T from an orthonormal eigenvector block, stable at clustered
+    eigenvalues, written into its slice of the (d+1, n, n) array."""
+    g, n = alg.g, alg.g.n
+    a = np.zeros((n + 1, n))  # row n takes the padding of the neighbour index
+    if g.degrees_skewed:
+        flat, starts = g.neighbor_runs
+        owner = np.zeros(len(flat), dtype=np.intp)
+        owner[starts[1:]] = 1  # owner.cumsum(): the vertex of each entry
+        a[flat, owner.cumsum()] = 1
+    else:
+        a[g.neighbor_table, np.arange(n)] = 1
+    vals, vecs = np.linalg.eigh(a[:n])  # ascending
+    lam = vals.tolist()
+    thr = tol * max(1.0, abs(lam[-1]))
+    cuts = [0]  # where each group starts
+    for i, x in enumerate(lam):
+        if x - lam[cuts[-1]] > thr:
+            cuts.append(i)
+    if len(cuts) != alg.d + 1:
         raise ToleranceError(
-            f"numeric grouping found {len(groups)} distinct eigenvalues, exact "
-            f"count is {alg.d + 1}; sorted gaps: {np.sort(gaps)[:5]}")
-    groups.reverse()  # descending order
-    eigs, mults, idems = [], [], []
-    for idx in groups:
-        block = vecs[:, idx]
-        eigs.append(float(np.mean(vals[idx])))
-        mults.append(len(idx))
-        idems.append(block @ block.T)
+            f"numeric grouping found {len(cuts)} distinct eigenvalues, exact "
+            f"count is {alg.d + 1}; sorted gaps: {np.sort(np.diff(vals))[:5]}")
+    bounds = list(zip(cuts, cuts[1:] + [n]))[::-1]  # descending order
+    idems = np.empty((len(bounds), n, n))
+    for e, (lo, hi) in zip(idems, bounds):
+        np.matmul(vecs[:, lo:hi], vecs[:, lo:hi].T, out=e)
+    idems.flags.writeable = False
     return SpectralDecomposition(
-        spectrum=Spectrum(tuple(eigs), tuple(mults)),
-        idempotents=tuple(idems))
+        spectrum=Spectrum(tuple(float(vals[lo:hi].sum() / (hi - lo))
+                                for lo, hi in bounds),
+                          tuple(hi - lo for lo, hi in bounds)),
+        idempotents=idems)
 
 
 def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
@@ -85,7 +94,7 @@ def spectrum_partition(sd: SpectralDecomposition, pp: PairPartition,
     pairs are compared. Memory stays O(n^2 (d+1)).
     """
     n = pp.n
-    flat = np.stack(sd.idempotents, axis=-1).reshape(n * n, -1)
+    flat = np.reshape(sd.idempotents, (-1, n * n)).T  # a view: m(u,v) by row
     ids = pp.flat_index
     members, bounds = pp.class_members  # pairs grouped by class
     first = members[bounds[:-1]]  # f(C)

@@ -235,6 +235,31 @@ def crossed_multiplicities(sd: SpectralDecomposition, u: int, v: int) -> Multipl
     return MultiplicityVector(tuple(float(e[u, v]) for e in sd.idempotents))
 
 
+def spectral_decomposition_reference(alg: WalkAlgebra,
+                                     tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+    """The float layer as first written: A from `adjacency_matrix()`, one
+    `np.mean` per eigenvalue group and `block @ block.T`, the idempotents a
+    tuple of arrays in descending eigenvalue order."""
+    a = np.array(alg.g.adjacency_matrix(), dtype=float)
+    vals, vecs = np.linalg.eigh(a)  # ascending
+    thr = tol * max(1.0, abs(float(vals[-1])))
+    groups: list[list[int]] = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[groups[-1][0]] > thr:
+            groups.append([i])
+        else:
+            groups[-1].append(i)
+    if len(groups) != alg.d + 1:
+        raise ToleranceError(f"numeric grouping found {len(groups)} distinct "
+                             f"eigenvalues, exact count is {alg.d + 1}")
+    groups.reverse()  # descending order
+    blocks = [vecs[:, idx] for idx in groups]
+    return SpectralDecomposition(
+        Spectrum(tuple(float(np.mean(vals[idx])) for idx in groups),
+                 tuple(map(len, groups))),
+        tuple(block @ block.T for block in blocks))
+
+
 def spectrum_partition_reference(g: Graph, sd: SpectralDecomposition,
                                  tol: float = DEFAULT_TOL):
     """Partition of V x V by m(u,v) vectors under component-wise tolerance.

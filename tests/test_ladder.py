@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 from quograph import (AnalysisError, Polynomial, WalkAlgebra,
                       adjacency_power_ladder, build_graph, cycle_graph,
                       parse_graph_spec, petersen_graph, star_graph)
-from quograph import partitions
+from quograph import partitions, quotient
 from quograph.partitions import walk_step
+from quograph.quotient import extended_partition_stable
 
 from oracles import (adjacency_power_ladder_reference, class_powers,
                      combine_powers, group_pairs, mat_mul,
@@ -171,6 +172,65 @@ def test_refinement_forms_agree(small_corpus):
     graphs = small_corpus + large_graphs()
     assert len(graphs) == 1200
     assert_refinements_agree(graphs)
+
+
+def kernel_dtypes(run):
+    """The dtype of each power handed to the private neighbour-sum kernel
+    while run() runs, and what run() returned."""
+    with mock.patch.object(partitions, "_neighbor_sum",
+                           wraps=partitions._neighbor_sum) as kernel:
+        out = run()
+    return [call.args[1].dtype for call in kernel.call_args_list], out
+
+
+def broom(hubs, tail):
+    """A hub, vertex 0, with hubs leaves 1..hubs and a path of tail more
+    vertices hanging off leaf hubs: k_max is hubs, far above the growth of
+    the walk counts, so the bound k_max^l passes 2^63 long before they do."""
+    return build_graph(1 + hubs + tail, [(0, v) for v in range(1, hubs + 1)]
+                       + [(v, v + 1) for v in range(hubs, hubs + tail)])
+
+
+def test_ladder_int64_bound_switches_where_walk_step_does():
+    """The ladder carries max |A^l| <= k_max^l and reads the exact maximum
+    only once that bound reaches 2^63 / k_max; it hands the kernel the same
+    dtypes, step for step, as d+1 public `walk_step` calls from I, which
+    read the maximum every step. `circulant:72:1,4` and G(24, 0.3) turn to
+    object powers mid-ladder, 3 and 5 steps after their bound trips; the
+    broom 14 steps after."""
+    switched = []
+    for g in large_graphs() + [broom(20, 30)]:
+        got, alg = kernel_dtypes(lambda: adjacency_power_ladder(g))
+
+        def steps():
+            power = np.eye(g.n, dtype=np.int64)
+            for _ in range(alg.d + 1):
+                power = walk_step(g, power)
+
+        want, _ = kernel_dtypes(steps)
+        assert got == want and len(got) == alg.d + 1, g
+        if object in got:
+            cast = got.index(object)
+            k_max = max(map(len, g.neighbors))
+            assert 0 < cast and all(dtype == object for dtype in got[cast:])
+            trip = next(step for step in range(cast + 1)
+                        if k_max ** (step + 1) >= 2**63)  # bound * k_max
+            switched.append((g.n, trip, cast))
+    # circulant:72:1,4, G(24, 0.3) and the broom read the exact maximum
+    # from the step where the bound trips, and cast where it says so
+    assert switched == [(72, 31, 34), (24, 18, 23), (51, 14, 28)]
+
+
+def test_ladder_bypasses_walk_step():
+    """The ladder steps through the private kernel only; the debug witness
+    `extended_partition_stable` still takes the public, checked step."""
+    for g in large_graphs():
+        with mock.patch.object(partitions, "walk_step") as step:
+            alg = adjacency_power_ladder(g)
+        step.assert_not_called()
+        with mock.patch.object(quotient, "walk_step", wraps=walk_step) as step:
+            assert extended_partition_stable(alg)
+        assert step.call_count == 2 * alg.d
 
 
 @st.composite

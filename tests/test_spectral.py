@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quograph import (DEFAULT_TOL, Polynomial, ToleranceError, WalkAlgebra,
-                      complete_graph, cycle_graph, decide_quotient_polynomial,
+from quograph import (DEFAULT_TOL, AnalysisOptions, Polynomial, ToleranceError,
+                      WalkAlgebra, analyze, build_graph, complete_graph,
+                      cycle_graph, decide_quotient_polynomial,
                       parse_graph_spec, path_graph, spectral_decomposition,
                       spectrum_partition)
 from quograph.formats import to_graph6
@@ -16,7 +17,8 @@ from quograph.spectral import SpectralDecomposition, Spectrum
 
 from oracles import (adjacency_power_ladder_reference, b_via_trace,
                      crossed_multiplicities, graph_scalar_product,
-                     setpartition, spectrum_partition_reference)
+                     setpartition, spectral_decomposition_reference,
+                     spectrum_partition_reference)
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
 
 
@@ -71,6 +73,41 @@ def test_idempotent_identities(petersen):
                                atol=1e-10)
 
 
+def workload_graphs(name):
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    from inputs import DEFAULT_SEED, workload_inputs
+    return [parse_graph_spec(s) for s in workload_inputs(name, DEFAULT_SEED)]
+
+
+def test_spectral_decomposition_matches_reference():
+    """On every corpus, large and witness input and on a single vertex: the
+    eigenvalues equal the reference's bit for bit, with the same
+    multiplicities, and the idempotents, one read-only (d+1, n, n) array,
+    equal its tuple of V_j V_j^T to 1e-12. A graph whose degrees are skewed,
+    `name:star:9` among them, scatters A from its neighbour runs and builds
+    no padded table."""
+    graphs = [g for name in ("corpus", "large", "witness")
+              for g in workload_graphs(name)]
+    assert len(graphs) == 1196 + 4 + 24
+    skewed = set()
+    for g in graphs + [build_graph(1, [])]:
+        alg = WalkAlgebra.of(g)
+        sd, ref = spectral_decomposition(alg), spectral_decomposition_reference(alg)
+        assert (list(map(float.hex, sd.spectrum.eigenvalues))
+                == list(map(float.hex, ref.spectrum.eigenvalues))), to_graph6(g)
+        assert sd.spectrum.multiplicities == ref.spectrum.multiplicities
+        e = sd.idempotents
+        assert e.shape == (alg.d + 1, g.n, g.n) and not e.flags.writeable
+        assert np.allclose(e, ref.idempotents, rtol=0, atol=1e-12), to_graph6(g)
+        if g.degrees_skewed:
+            assert "neighbor_table" not in vars(g)
+            skewed.add(to_graph6(g))
+    assert to_graph6(parse_graph_spec("name:star:9")) in skewed
+    report = analyze(build_graph(1, []), AnalysisOptions())
+    assert report.eigenvalues == [0.0] and report.multiplicities == [1]
+
+
 def test_crossed_multiplicities_diagonal(circ17):
     sd = spectrum(circ17)
     mv = crossed_multiplicities(sd, 0, 0)
@@ -119,10 +156,9 @@ def test_spectrum_partition_nan_idempotent(petersen):
     # greedy grouping, where the pair would start a group of its own
     alg = WalkAlgebra.of(petersen)
     sd = spectral_decomposition(alg)
-    e = sd.idempotents[1].copy()
-    e[3, 7] = np.nan
-    bad = SpectralDecomposition(sd.spectrum, (sd.idempotents[0], e)
-                                + sd.idempotents[2:])
+    e = sd.idempotents.copy()
+    e[1, 3, 7] = np.nan
+    bad = SpectralDecomposition(sd.spectrum, e)
     with pytest.raises(ToleranceError, match=r"\(3, 7\)"):
         spectrum_partition(bad, alg.partition)
     with pytest.raises(ToleranceError):
@@ -136,9 +172,9 @@ def test_spectrum_partition_nan_idempotent(petersen):
     sd = spectral_decomposition(alg)
     ids = alg.partition.class_ids
     assert ids.count(ids[1 * g.n + 1]) == 1  # (1, 1) is alone in its class
-    e = sd.idempotents[0].copy()
-    e[1, 1] = np.nan
-    lone = SpectralDecomposition(sd.spectrum, (e,) + sd.idempotents[1:])
+    e = sd.idempotents.copy()
+    e[0, 1, 1] = np.nan
+    lone = SpectralDecomposition(sd.spectrum, e)
     assert (spectrum_partition_reference(g, lone)
             == setpartition(alg.partition))
     spectrum_partition(lone, alg.partition)
@@ -170,11 +206,7 @@ def test_spectrum_partition_matches_greedy_oracle(small_corpus):
     """spectrum_partition(sd, pp, tol) passes exactly when the greedy
     grouping returns pp without raising, on every corpus graph and every
     input of the `large` benchmark, over a sweep of tolerances."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    sys.path.insert(0, str(bench))
-    from inputs import DEFAULT_SEED, workload_inputs
-    large = [parse_graph_spec(s)
-             for s in workload_inputs("large", DEFAULT_SEED)]
+    large = workload_graphs("large")
     graphs = list(small_corpus) + large
     passed = Counter()
     for g in graphs:
