@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
+from operator import mul
 
 import numpy as np
 
@@ -143,6 +145,33 @@ def subset_ranks(rows, subsets) -> list[int]:
         ranks = _ranks_mod_p(mod[order]).tolist()
     return [rk if rk == b else rank([rows[j] for j in s])
             for rk, b, s in zip(ranks, bounds, subsets)]
+
+
+class BerlekampMassey:
+    """Massey's (1969) shortest recurrence C = [1, c_1, ..., c_L] mod p of the
+    terms s so far, sum_i c_i s_(k-i) = 0 for k >= L = length; O(L) a term."""
+
+    def __init__(self, p: int, terms=()):
+        self.p, self.s, self.c, self.b, self.length, self.gap, self.last = (
+            p, [], [1], [1], 0, 1, 1)
+        self.extend(terms)
+
+    def extend(self, terms) -> None:
+        p, s = self.p, self.s
+        for x in terms:
+            s.append(x % p)
+            c, delta = self.c, sum(map(mul, self.c, reversed(s))) % p
+            if delta:  # C -= delta / last * x^gap * B
+                f = delta * pow(self.last, -1, p)
+                self.c = [(a - f * y) % p for a, y in
+                          zip_longest(c, [0] * self.gap + self.b, fillvalue=0)]
+                if 2 * self.length < len(s):  # the length grows: B = old C
+                    self.length, self.b = len(s) - self.length, c
+                    self.last, self.gap = delta, 0
+            self.gap += 1
+
+    def polynomial(self) -> list[int]:  # x^length C(1/x), ascending: monic
+        return (self.c + [0] * self.length)[self.length::-1]
 
 
 # --- polynomials ----------------------------------------------------------

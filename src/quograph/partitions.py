@@ -4,8 +4,8 @@ Pairs (u,v) are grouped by their exact vector of walk counts
 (a_uv^(0), ..., a_uv^(d)), refined one power at a time; the classes
 J_0..J_r, held as one class label per pair, drive every later decision.
 The powers are numpy arrays, int64 while no sum can overflow and Python
-ints past that; the walk counts are read back as Python ints and compared
-exactly, never through floats, hashes or residues.
+ints past that; walk counts are compared exactly as Python ints, never
+through floats or hashes: residues only propose; the trace identity proves.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from operator import mul
 import numpy as np
 
 from .errors import ContractViolationError, GraphInputError
-from .exact import Polynomial
+from .exact import RANK_PRIME, BerlekampMassey, Polynomial, _ranks_mod_p
 from .graphs import Graph, require_connected
 
 
@@ -56,13 +56,18 @@ def _neighbor_sum(g: Graph, power: np.ndarray) -> np.ndarray:
 # about 500 pairs, and the sort won past that (820 pairs: 250 against
 # 218 us).
 SORT_REFINE_PAIRS = 200
+# 2^61 - 1 and the 14 primes below it, for Berlekamp-Massey and the CRT
+# lift: their product, about 2^914, proves mu while 2 (1 + k_max)^(d+1) is
+# less (G(60, 0.1): 2^236); past that the ladder borders past A^n.
+TRACE_PRIMES = tuple(2**61 - c for c in (1, 31, 45, 229, 259, 283, 339, 391,
+                                          403, 465, 531, 579, 675, 759, 799))
 
 
 def _refine(ids, vals: np.ndarray):
     """The classes ids split by the entries vals of a new power, keyed by
     (class, value) as in 1-WL colour refinement and labelled in order of
-    first appearance: the new labels, the (class, value) of each new class
-    in label order, and a function from a new class to its first position.
+    first appearance: the new labels and the (class, value) of each new
+    class in label order.
 
     An int64 power past SORT_REFINE_PAIRS pairs takes one stable lexsort
     by (class, value): a group starts where either key changes, its first
@@ -74,7 +79,7 @@ def _refine(ids, vals: np.ndarray):
         keys: dict[tuple, int] = {}
         new = [keys.setdefault(key, len(keys))
                for key in zip(ids, vals.tolist())]
-        return new, list(keys), new.index
+        return new, list(keys)
     ids = np.asarray(ids)
     srt = np.lexsort((vals, ids))
     cls, val = ids[srt], vals[srt]
@@ -88,8 +93,7 @@ def _refine(ids, vals: np.ndarray):
     new = np.empty_like(srt)
     new[srt] = label[np.cumsum(start) - 1]
     first = lead[order]
-    return (new, list(zip(ids[first].tolist(), vals[first].tolist())),
-            first.item)
+    return new, list(zip(ids[first].tolist(), vals[first].tolist()))
 
 
 def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
@@ -97,67 +101,105 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     adjacency algebra dimension. No power is kept. g may be disconnected;
     `WalkAlgebra.of` checks connectivity first.
 
-    One pass per power, holding one power at a time:
-    - A^(l+1) is `_neighbor_sum` of A^l, exact in int64 or in Python ints.
-      The ladder checks overflow by the bound max |A^(l+1)| <= k_max max |A^l|
-      and reads the exact max only once bound * k_max reaches 2^63, so it
-      casts at the step `walk_step`'s own check would;
-    - the pair classes are refined by the key (class, new entry), as in
-      1-WL colour refinement, so every power so far is constant on them:
-      in a dict, or by one sort of an int64 power past SORT_REFINE_PAIRS
-      pairs (`_refine`), the two giving the same labels.
-      Every A^l is symmetric, so only the pairs u <= v are refined, in
-      row-major order, and their classes are copied to (v, u) at the end;
-      the first pair of each class has u <= v, so the class ids are those
-      of a refinement of all n^2 pairs;
-    - the new power is tested against the span of the earlier ones on the
-      classes alone, in Python integers, with the basis block kept as
-      adj = det * B^-1 and bordered by one row and column per new power
-      (fraction-free, after Bareiss). The first dependent power A^(d+1)
-      ends the ladder, and its coordinates give the minimal polynomial.
-
-    At the end the classes are relabelled once, place[ids], into the report
-    order: diagonal classes (a^(0) = 1) first, by ascending walk vector;
-    then the rest by descending walk vector. That is the order by distance,
-    then descending walk vector: a class at distance i has a^(l) = 0 for
-    l < i and a^(i) > 0, so its vector is the larger against any class at a
-    greater distance. The rows of B are read as the classes of its pairs.
+    One pass per power, holding it and the one before: A^(l+1) is
+    `_neighbor_sum` of A^l, cast to Python ints where `walk_step` would, by
+    the carried bound max |A^(l+1)| <= k_max max |A^l|; the pairs u <= v
+    (A^l is symmetric) are refined by (class, new entry) in `_refine`; and,
+    as <A^i, A^j>_F = tr A^(i+j) = p_(i+j), the traces gain p_(2l-1) =
+    <A^(l-1), A^l>_F and p_(2l) = ||A^l||_F^2. Berlekamp-Massey mod a prime
+    reads them; once its length L has 2L < #traces, `_proved_polynomial`
+    lifts its candidate q, and a proved q is mu, so d = L - 1: (1) mu(A) = 0
+    makes mu a recurrence of (p_k) mod every prime, so L <= deg mu; (2)
+    ||q(A)||_F^2 = sum_ij q_i q_j p_(i+j) = 0 proves q(A) = 0; (3) so mu
+    divides the monic q of degree L, and q = mu. Residues only propose; the
+    trace identity proves. The Hankel matrices of (p_k) to order d+1 are
+    positive definite, so the proof comes at A^(d+1); past A^n, `_border`
+    finds mu exactly. The classes, copied to (v, u), are relabelled once in
+    the report order: diagonal classes (a^(0) = 1) by ascending walk vector,
+    the rest by descending walk vector, which orders them by distance too.
     """
     n, k_max = g.n, max(map(len, g.neighbors))
     upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
     cur, top = np.eye(n, dtype=np.int64), 1  # max |A^l| <= top
     ids = [0] * len(upper)    # every power so far is constant on each class
     vectors = [()]            # class -> its entries in the powers so far
-    basis: list[int] = []     # positions in upper of the rows of B
-    adj, det = [], 1
+    traces, mu, bm = [n], None, BerlekampMassey(TRACE_PRIMES[0], [n])
     while True:
-        vals = cur.ravel()[upper]
-        b = list(map(vals.item, basis))  # Python ints
-        y = [sum(map(mul, row, b)) for row in adj]  # det B^-1 b
-        new, heads, first = _refine(ids, vals)
-        for j, (k, x) in enumerate(heads):
-            m = vectors[k]
-            t = det * x - sum(map(mul, m, y))
-            if t:
+        new, heads = _refine(ids, cur.ravel()[upper])
+        if vectors[0]:  # l >= 1; int64 dots beat class sums on the corpus,
+            # and class sums beat object dots past int64 (CHANGES.md, timed)
+            if cur.dtype != object and n * n * top * top < 1 << 63:
+                traces += [int(np.vdot(prev, cur)), int(np.vdot(cur, cur))]
+            else:  # weights A^l on the classes, u < v for (u,v) and (v,u)
+                w = [(s if vectors[k][0] else 2 * s) * x
+                     for (k, x), s in zip(heads, np.bincount(new).tolist())]
+                traces += [sum(map(mul, w, (vectors[k][-1] for k, _ in heads))),
+                           sum(map(mul, w, (x for _, x in heads)))]
+            if bm:  # None once the primes have run out
+                bm.extend(traces[-2:])
+                if 2 * bm.length < len(traces):
+                    bm, mu = _proved_polynomial(traces, bm, k_max)
+            if mu or len(vectors[0]) > n:
                 break
-        else:  # A^(d+1) = sum_j (y_j / det) A^j on every class
-            vec = vectors.__getitem__
-            order = (sorted((k for k, v in enumerate(vectors) if v[0]), key=vec)
-                     + sorted((k for k, v in enumerate(vectors) if not v[0]),
-                              key=vec, reverse=True))
-            ids = np.argsort(order, kind="stable")[ids]  # place = order^-1
-            full = np.zeros((n, n), dtype=np.int64)
-            full.flat[upper] = ids  # zero below the diagonal
-            flat = (full | full.T).ravel()
-            pp = PairPartition(n, tuple(flat.tolist()), tuple(map(vec, order)))
-            flat.flags.writeable = False
-            vars(pp)["flat_index"] = flat  # the same labels, as an array
-            return WalkAlgebra(
-                g, pp, tuple(ids[basis].tolist()), tuple(map(tuple, adj)),
-                det, Polynomial.of([Fraction(-c, det) if c % det else -c // det
-                                    for c in y] + [1]))
-        # border B with the row m_j, x_j and the column b: det' = t
-        z = [sum(map(mul, m, col)) for col in zip(*adj)]  # m adj
+        ids, vectors = new, [vectors[k] + (x,) for k, x in heads]
+        if cur.dtype != object and top * k_max >= 1 << 63:
+            top = int(cur.max())  # walk counts are never negative
+            if top * k_max >= 1 << 63:
+                cur = cur.astype(object)  # as walk_step would cast it
+        prev, cur = cur, _neighbor_sum(g, cur)
+        top *= k_max  # each entry sums at most k_max entries of A^l
+    if not mu:  # A^(d+1) = sum_j (y_j / det) A^j on every class
+        *_, det, y = _border(vectors, range(len(vectors)))
+        mu = [Fraction(-c, det) if c % det else -c // det for c in y] + [1]
+    vectors = [vec[:len(mu) - 1] for vec in vectors]  # powers up to A^d
+    vec = vectors.__getitem__
+    order = (sorted((k for k, v in enumerate(vectors) if v[0]), key=vec)
+             + sorted((k for k, v in enumerate(vectors) if not v[0]),
+                      key=vec, reverse=True))
+    ids = np.argsort(order, kind="stable")[ids]  # place = order^-1
+    full = np.zeros((n, n), dtype=np.int64)
+    full.flat[upper] = ids  # zero below the diagonal
+    flat = (full | full.T).ravel()
+    pp = PairPartition(n, tuple(flat.tolist()), tuple(map(vec, order)))
+    flat.flags.writeable = False
+    vars(pp)["flat_index"] = flat  # the same labels, as an array
+    return WalkAlgebra(g, pp, Polynomial.of(mu), tuple(traces[:2 * len(mu) - 1]))
+
+
+def _proved_polynomial(traces, bm, k_max: int):
+    """(bm, mu): mu the first CRT lift q of bm's candidate, through the next
+    primes of as long a recurrence, with sum q_i q_j p_(i+j) = 0, or None; a
+    longer recurrence, or a failed lift past 2 (1 + k_max)^L, restarts bm."""
+    lift, mod, bound = [0] * (bm.length + 1), 1, (1 + k_max) ** bm.length
+    for p in TRACE_PRIMES[TRACE_PRIMES.index(bm.p):]:
+        other = bm if p == bm.p else BerlekampMassey(p, traces)
+        if other.length > bm.length or mod > 2 * bound:
+            return other, None  # bm.p divides a Hankel minor
+        if other.length == bm.length:  # else p does
+            inv = pow(mod, -1, p)
+            lift = [a + mod * ((b - a) * inv % p)
+                    for a, b in zip(lift, other.polynomial())]
+            mod *= p
+            q = [a - mod if 2 * a > mod else a for a in lift]
+            if not sum(qi * sum(map(mul, q, traces[i:]))
+                       for i, qi in enumerate(q)):
+                return bm, q
+    return None, None  # no prime left: the ladder stops proving
+
+
+def _border(m, order):
+    """(basis, adj, det, y): per column j, the first row k of `order` with a
+    nonzero residual det m[k][j] - m[k][:j] y, y = adj b, borders the block B,
+    adj = det B^-1 (after Bareiss); y is kept at a dependent column, or None."""
+    basis, adj, det = [], (), 1
+    for j in range(len(m[0])):
+        y = [sum(map(mul, row, (m[k][j] for k in basis))) for row in adj]
+        for k in order:
+            if k not in basis and (t := det * m[k][j] - sum(map(mul, m[k], y))):
+                break
+        else:
+            return tuple(basis), adj, det, y
+        z = [sum(map(mul, m[k], col)) for col in zip(*adj)]  # m_k adj
         grown = []
         for row, yi in zip(adj, y):
             out, rem = zip(*[divmod(t * a + yi * zi, det)
@@ -165,16 +207,10 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
             if any(rem):
                 raise ContractViolationError(
                     "bordered inverse of the basis block is not integral")
-            grown.append([*out, -yi])
-        adj, det = grown + [[-zi for zi in z] + [det]], t
-        basis.append(first(j))
-        ids, vectors = new, [vectors[k] + (x,) for k, x in heads]
-        if cur.dtype != object and top * k_max >= 1 << 63:
-            top = int(cur.max())  # walk counts are never negative
-            if top * k_max >= 1 << 63:
-                cur = cur.astype(object)  # as walk_step would cast it
-        cur = _neighbor_sum(g, cur)
-        top *= k_max  # each entry sums at most k_max entries of A^l
+            grown.append((*out, -yi))
+        adj, det = (*grown, (*(-zi for zi in z), det)), t
+        basis.append(k)
+    return tuple(basis), adj, det, None
 
 
 def _first_nonzero(vec) -> int:
@@ -280,8 +316,9 @@ class WalkAlgebra:
     all of I, A, ..., A^d: A^l[u][v] = M[c(u,v)][l], c(u,v) being the class
     of (u,v). No power is kept as an n x n matrix. p(A) = T holds exactly
     when T is constant on classes and M c = t, where c are the coefficients
-    of p and t the class values of T. M has rank d+1; its basis rows form
-    the block B, kept as the integer matrix adj = det * B^-1.
+    of p and t the class values of T. M has rank d+1; the traces p_k =
+    tr A^k, k <= 2d+2, prove mu. `basis_rows` (rows of M forming a block B),
+    `adj` = det B^-1 and `det` are lazy, read by `class_polynomials` alone.
 
     The classes carry the metric too: dist(u,v) is the first l with
     A^l[u][v] > 0, inside the walk vector as D <= d on a connected graph,
@@ -292,10 +329,8 @@ class WalkAlgebra:
 
     g: Graph
     partition: PairPartition
-    basis_rows: tuple[int, ...]  # the classes of the rows of B, in order
-    adj: tuple[tuple[int, ...], ...]
-    det: int
     minimal_polynomial: Polynomial  # monic, degree d+1
+    traces: tuple[int, ...]  # p_0..p_(2d+2)
 
     @staticmethod
     def of(g: Graph) -> WalkAlgebra:
@@ -305,7 +340,18 @@ class WalkAlgebra:
 
     @property
     def d(self) -> int:
-        return len(self.basis_rows) - 1
+        return self.minimal_polynomial.degree - 1
+
+    @cached_property
+    def _block(self):  # bordered over the classes in order of first pair
+        flat = self.partition.flat_index
+        first = np.full(self.partition.r + 1, flat.size)
+        np.minimum.at(first, flat, np.arange(flat.size))
+        return _border(self.m, np.argsort(first).tolist())
+
+    basis_rows = property(lambda self: self._block[0])  # the rows of B
+    adj = property(lambda self: self._block[1])  # det * B^-1
+    det = property(lambda self: self._block[2])
 
     @cached_property
     def diameter(self) -> int:
@@ -361,13 +407,18 @@ class WalkAlgebra:
         """The polynomials p_j with p_j(A) = columns[j][k] on every class k,
         or None when some column lies outside the column space of M.
 
-        c = adj t on the basis rows, then M c = det t checked in integers on
-        all r+1 rows; p_j has coefficients c / det.
-        """
+        Where r > d, a rank of [M | columns] mod p above d+1 proves one
+        outside (the rank over Q is no less). Else c = adj t, t the nonzeros
+        on the basis rows, and M c = det t on all r+1 rows."""
+        if self.partition.r > self.d:
+            mod = np.array([[*row, *(c[k] for c in columns)] for k, row
+                            in enumerate(self.m)], dtype=object) % RANK_PRIME
+            if _ranks_mod_p(mod.astype(np.int64)[None])[0] > self.d + 1:
+                return None
         polys = []
         for col in columns:
-            t = [col[k] for k in self.basis_rows]
-            c = [sum(a * x for a, x in zip(row, t)) for row in self.adj]
+            t = [(i, col[k]) for i, k in enumerate(self.basis_rows) if col[k]]
+            c = [sum(row[i] * x for i, x in t) for row in self.adj]
             if any(sum(x * y for x, y in zip(row, c)) != self.det * v
                    for row, v in zip(self.m, col)):
                 return None

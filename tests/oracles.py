@@ -168,11 +168,13 @@ def class_powers(alg: WalkAlgebra) -> list[list[list[int]]]:
 
 
 def walk_algebra_digest(alg: WalkAlgebra) -> str:
-    """One sha256 over every field of a walk algebra: the partition's n,
-    class_ids and walk vectors, basis_rows, adj, det and the minimal
-    polynomial's coefficients, plus `flat_index`'s dtype, shape, read-only
-    flag and bytes. Equal digests mean equal algebras, field for field,
-    with the same cached array behind `flat_index`."""
+    """One sha256 over a walk algebra: the partition's n, class_ids and walk
+    vectors, `basis_rows`, `adj` and `det` (read through their properties,
+    so the first read borders B^-1) and the minimal polynomial's
+    coefficients, plus `flat_index`'s dtype, shape, read-only flag and
+    bytes. Equal digests mean equal partitions, minimal polynomials and
+    bordered inverses, with the same cached array behind `flat_index`; the
+    traces, which prove mu, are compared by the tests that need them."""
     pp, flat = alg.partition, alg.partition.flat_index
     fields = (pp.n, pp.class_ids, pp.class_walk_vectors, alg.basis_rows,
               alg.adj, alg.det, alg.minimal_polynomial.coeffs,

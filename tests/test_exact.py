@@ -1,13 +1,16 @@
 """Exact linear algebra and polynomial layer."""
 from fractions import Fraction
+from itertools import product
+from operator import mul
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quograph import Polynomial, rank
 from quograph import exact
-from quograph.exact import (BATCH_WORK, RANK_PRIME, _ranks_mod_p, frac_str,
-                            identity, parse_frac, poly_to_text, subset_ranks)
+from quograph.exact import (BATCH_WORK, RANK_PRIME, BerlekampMassey,
+                            _ranks_mod_p, frac_str, identity, parse_frac,
+                            poly_to_text, subset_ranks)
 from quograph.graphs import complete_graph
 
 from oracles import (RowBasis, all_ones, combine_powers, eval_poly, mat_mul,
@@ -254,3 +257,30 @@ def test_solve_resubstitution(a, data):
     assert x is not None           # b is in the column space by construction
     assert mat_mul([[Fraction(v) for v in row] for row in a], x) == \
         [[Fraction(v) for v in row] for row in b]
+
+
+def shortest_recurrence(s, p):
+    """The least L with some c_1..c_L mod p, found by trying them all, such
+    that s_k + c_1 s_(k-1) + ... + c_L s_(k-L) = 0 mod p for L <= k < len(s)."""
+    for length in range(len(s) + 1):
+        for c in product(range(p), repeat=length):
+            if all((s[k] + sum(ci * s[k - i] for i, ci in enumerate(c, 1))) % p
+                   == 0 for k in range(length, len(s))):
+                return length
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(st.integers(-50, 50), max_size=6),
+       st.data())
+def test_berlekamp_massey_is_shortest_recurrence(p, s, data):
+    """Fed all at once or in two parts, its length is the least one found by
+    trying every recurrence, and its monic polynomial annihilates s mod p."""
+    cut = data.draw(st.integers(0, len(s)))
+    bm = BerlekampMassey(p, s[:cut])
+    bm.extend(s[cut:])
+    whole = BerlekampMassey(p, s)
+    assert bm.length == whole.length == shortest_recurrence(s, p)
+    q = bm.polynomial()
+    assert q == whole.polynomial() and len(q) == bm.length + 1 and q[-1] == 1
+    assert all(sum(map(mul, q, s[k:])) % p == 0
+               for k in range(len(s) - bm.length))

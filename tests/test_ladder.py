@@ -1,6 +1,7 @@
 """The class-level ladder against the dense ladder it replaced, read off the
-walk classes entry by entry, and what the pass keeps: the bordered inverse
-of the basis block and the minimal polynomial."""
+walk classes entry by entry, and what the pass keeps: the traces, the
+minimal polynomial they prove, and the lazily bordered inverse of the basis
+block."""
 import random
 import sys
 from pathlib import Path
@@ -14,7 +15,8 @@ from quograph import (AnalysisError, Polynomial, WalkAlgebra,
                       adjacency_power_ladder, build_graph, cycle_graph,
                       parse_graph_spec, petersen_graph, star_graph)
 from quograph import partitions, quotient
-from quograph.partitions import walk_step
+from quograph.exact import BerlekampMassey
+from quograph.partitions import TRACE_PRIMES, walk_step
 from quograph.quotient import extended_partition_stable
 
 from oracles import (adjacency_power_ladder_reference, class_powers,
@@ -298,3 +300,104 @@ def test_walk_step_form_follows_degrees():
         walk_step(g, np.eye(g.n, dtype=np.int64))
         built = {"neighbor_table", "neighbor_runs"} & set(vars(g))
         assert built == {"neighbor_runs" if skewed else "neighbor_table"}
+
+
+def dense_traces(g, count):
+    """tr A^k for k < count from dense powers I, ..., A^(d+1)
+    (`adjacency_power_ladder_reference` and one more `mat_mul`), each
+    tr A^(i+j) = tr(A^i A^j) summed over the diagonal of the product."""
+    powers = adjacency_power_ladder_reference(g)
+    powers.append(mat_mul(powers[-1], g.adjacency_matrix()))
+    top = len(powers) - 1
+    out = []
+    for k in range(count):
+        p, q = powers[min(k, top)], powers[k - min(k, top)]
+        out.append(sum(x * y for row, col in zip(p, zip(*q))
+                       for x, y in zip(row, col)))
+    return out
+
+
+def test_traces_match_dense_powers(small_corpus):
+    """`traces` is tr A^0, ..., tr A^(2d+2) on the corpus and the large
+    inputs; circulant:72:1,4 and G(24, 0.3) sum over the classes once the
+    int64 dots could overflow."""
+    for g in small_corpus + large_graphs():
+        alg = WalkAlgebra.of(g)
+        assert len(alg.traces) == 2 * alg.d + 3
+        assert list(alg.traces) == dense_traces(g, 2 * alg.d + 3), g
+
+
+class Proposal:
+    """A Berlekamp-Massey stand-in that proposes q mod p."""
+
+    def __init__(self, q, p):
+        self.p, self.length, self.q = p, len(q) - 1, [c % p for c in q]
+
+    def polynomial(self):
+        return self.q
+
+
+def proved(q, traces):
+    """What `_proved_polynomial` makes of the candidate q, proposed mod the
+    first prime alone, with its symmetric lift q itself."""
+    p = TRACE_PRIMES[0]
+    with mock.patch.object(partitions, "TRACE_PRIMES", (p,)):
+        return partitions._proved_polynomial(traces, Proposal(q, p), 0)[1]
+
+
+def test_frobenius_proof_rejects_mutants(small_corpus):
+    """sum_ij q_i q_j p_(i+j) = 0 accepts mu and fails mu with its constant
+    term off by one, and the monic candidate (mu - mu_0) / x of degree d."""
+    for g in small_corpus + large_graphs():
+        alg = WalkAlgebra.of(g)
+        mu = list(alg.integral_minimal_polynomial)
+        assert proved(mu, alg.traces) == mu
+        assert proved([mu[0] + 1] + mu[1:], alg.traces) is None
+        assert proved([mu[0] - 1] + mu[1:], alg.traces) is None
+        assert proved(mu[1:], alg.traces) is None
+
+
+def test_unlucky_primes_give_the_same_algebra(small_corpus):
+    """Petersen's traces 10, 0, 30, 0, 150, ... are 1, 0, 0, 0, 0, ... mod 3,
+    a recurrence of length 1 against d+1 = 3. With 3 first, Berlekamp-Massey
+    restarts on the next prime, whose recurrence is longer; with 3 alone the
+    primes run out after one failed proof, none is tried again, and past A^n
+    the ladder borders the walk vectors, n+1 long. Either way Petersen,
+    cycle:41 and 50 corpus graphs give the same algebras, digests included."""
+    petersen = petersen_graph()
+    graphs = [petersen, cycle_graph(41)] + small_corpus[::24][:50]
+    assert len(graphs) == 52
+    want = [adjacency_power_ladder(g) for g in graphs]
+    assert BerlekampMassey(3, want[0].traces).length == 1 and want[0].d == 2
+    for primes, restarts in [((3,) + TRACE_PRIMES, True), ((3,), False)]:
+        with mock.patch.object(partitions, "TRACE_PRIMES", primes), \
+                mock.patch.object(partitions, "BerlekampMassey",
+                                  wraps=BerlekampMassey) as bm, \
+                mock.patch.object(partitions, "_border",
+                                  wraps=partitions._border) as border, \
+                mock.patch.object(partitions, "_proved_polynomial",
+                                  wraps=partitions._proved_polynomial) as proof:
+            got = adjacency_power_ladder(petersen)
+            assert tuple(c.args[0] for c in bm.call_args_list)[:2] == primes[:2]
+            assert border.called is not restarts
+            assert proof.call_count == (2 if restarts else 1)
+            if border.called:
+                assert {len(v) for v in border.call_args.args[0]} == {11}
+            got = [got] + [adjacency_power_ladder(g) for g in graphs[1:]]
+        assert got == want
+        assert list(map(walk_algebra_digest, got)) == list(
+            map(walk_algebra_digest, want))
+
+
+def test_inverse_is_lazy_and_read_only():
+    """The ladder borders no inverse; the first read of `basis_rows`, `adj`
+    or `det` builds all three once, and none can be assigned."""
+    alg = adjacency_power_ladder(petersen_graph())
+    assert "_block" not in vars(alg)
+    with mock.patch.object(partitions, "_border",
+                           wraps=partitions._border) as border:
+        assert alg.det and len(alg.adj) == len(alg.basis_rows) == alg.d + 1
+    assert border.call_count == 1 and "_block" in vars(alg)
+    for name in ("basis_rows", "adj", "det"):
+        with pytest.raises(AttributeError):
+            setattr(alg, name, None)
