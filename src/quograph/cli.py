@@ -3,7 +3,8 @@
 Subcommands: analyze, partition, polys, scheme, census.
 Exit codes: 0 success, 1 input error, 2 internal contract violation (a result
 that falsifies a theorem; these indicate bugs and are loud), 3 numeric
-disagreement (a spectral cross-check failed at the given tolerance).
+disagreement (the eigenvalue grouping, or under --debug-checks the m-vector
+grouping, failed at the given tolerance).
 """
 from __future__ import annotations
 
@@ -67,9 +68,11 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True):
                         "most 10 vertices)")
     p.add_argument("--tol", default=None,
                    help="spectral tolerance, a finite non-negative number "
-                        f"(also env {TOL_ENV_VAR})")
+                        f"(also env {TOL_ENV_VAR}): the eigenvalue gap, and "
+                        "with --debug-checks the m-vector distance")
     p.add_argument("--debug-checks", action="store_true",
-                   help="enable redundant witnesses (walk vectors extended "
+                   help="enable redundant witnesses (m-vectors grouped within "
+                        "--tol as the walk classes, walk vectors extended "
                         "to length 2d+1, int64 products J_i J_j against the "
                         "intersection numbers at every pair (they are "
                         "counted at vertex 0), p_i p_j = sum_k p^k_ij p_k "
@@ -182,26 +185,17 @@ def main(argv=None) -> int:
                     "association schemes of finite graphs (exact arithmetic)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", help="full analysis report")
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("partition", help="walk-regular partition of V x V")
-    _add_common(p)
-    p.set_defaults(func=cmd_partition)
-
-    p = sub.add_parser("polys", help="quotient and distance polynomials")
-    _add_common(p)
-    p.set_defaults(func=cmd_polys)
-
-    p = sub.add_parser("scheme", help="generated association scheme")
-    _add_common(p)
-    p.set_defaults(func=cmd_scheme)
-
-    p = sub.add_parser("census", help="batch mode over a graph6 stream")
-    p.add_argument("input", help="graph6 file, or - for stdin")
-    _add_common(p, graph_arg=False)
-    p.set_defaults(func=cmd_census)
+    for name, text, func in (
+            ("analyze", "full analysis report", cmd_analyze),
+            ("partition", "walk-regular partition of V x V", cmd_partition),
+            ("polys", "quotient and distance polynomials", cmd_polys),
+            ("scheme", "generated association scheme", cmd_scheme),
+            ("census", "batch mode over a graph6 stream", cmd_census)):
+        p = sub.add_parser(name, help=text)
+        if func is cmd_census:
+            p.add_argument("input", help="graph6 file, or - for stdin")
+        _add_common(p, graph_arg=func is not cmd_census)
+        p.set_defaults(func=func)
 
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     args = parser.parse_args(argv)

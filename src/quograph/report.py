@@ -69,7 +69,7 @@ class Report:
 
 
 def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
-    """partitions -> quotient analysis -> spectral cross-checks -> classifiers."""
+    """partitions -> quotient -> spectrum -> classifiers, debug witnesses."""
     t0 = time.monotonic()
     report = Report(n=g.n, degree_sequence=g.degree_sequence(), diameter=None)
     try:
@@ -85,8 +85,8 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
     sd = spectral_decomposition(alg, tol=options.tol)
     report.eigenvalues = [float(f"{x:.12g}") for x in sd.spectrum.eigenvalues]
     report.multiplicities = list(sd.spectrum.multiplicities)
-    # Lemma: m-vector grouping must reproduce the exact walk partition
-    spectrum_partition(sd, pp, options.tol)  # raises if not
+    if options.debug_checks:  # m-vectors group as the walk classes, or raise
+        spectrum_partition(sd, pp, options.tol)
 
     dp = is_distance_polynomial(alg)
     flags = ClassificationFlags(
@@ -432,11 +432,18 @@ def _walk_vector(k: int, texts) -> tuple[int, ...]:
     return tuple(map(int, texts))
 
 
+def _entries(field: str, values, want: int, kind: type) -> None:
+    """Raise GraphInputError, naming the field, unless values is a list of
+    `want` entries of exactly the type `kind`."""
+    if type(values) is not list or len(values) != want or any(
+            type(x) is not kind for x in values):
+        raise GraphInputError(f"{field} is {values!r}, not {want} "
+                              f"{kind.__name__}s")
+
+
 def report_from_dict(d: dict) -> Report:
     """Rebuild a Report from its JSON dict; inverse of report_to_dict."""
-    spectrum = _decode(_SPECTRUM, d["spectrum"]) if "spectrum" in d else {}
-    report = Report(**_decode(_GRAPH, d["graph"]), **spectrum,
-                    error=d.get("error"))
+    report = Report(**_decode(_GRAPH, d["graph"]), error=d.get("error"))
     n = report.n
     if len(report.degree_sequence) != n:
         raise GraphInputError(f"graph.degree_sequence has "
@@ -444,10 +451,7 @@ def report_from_dict(d: dict) -> Report:
                               f"{n} vertices")
     if "quotient" in d:
         q = d["quotient"]
-        dims = q["local_dimensions"]
-        if len(dims) != n:
-            raise GraphInputError(f"{len(dims)} local dimensions for "
-                                  f"{n} vertices")
+        _entries("quotient.local_dimensions", q["local_dimensions"], n, int)
         classes = d["partition"]["classes"]
         pp = PairPartition.of(
             n, [_walk_vector(k, c["walk_vector"]) for k, c in enumerate(classes)],
@@ -460,8 +464,21 @@ def report_from_dict(d: dict) -> Report:
             if type(value) is not int or value != want:
                 raise GraphInputError(f"{field} is {value!r}, not the {want} "
                                       "its partition gives")
+        if q["polynomials"] is not None:
+            _entries("quotient.polynomials", q["polynomials"], num, list)
         report.quotient = QuotientReport(**_decode(_QUOTIENT, q), partition=pp)
+    if "spectrum" in d:
+        s, want = d["spectrum"], d["quotient"]["d"] + 1  # checked above
+        _entries("spectrum.eigenvalues", s["eigenvalues"], want, float)
+        _entries("spectrum.multiplicities", m := s["multiplicities"], want, int)
+        if min(m) < 1 or sum(m) != n:
+            raise GraphInputError(f"spectrum.multiplicities are {m!r}, not "
+                                  f"positive with sum n = {n}")
+        vars(report).update(_decode(_SPECTRUM, s))
     if "flags" in d:
+        _entries("flags.h_punctually_walk_regular",
+                 d["flags"]["h_punctually_walk_regular"], report.diameter + 1,
+                 bool)
         report.flags = ClassificationFlags(**_decode(_FLAGS, d["flags"]))
     if "scheme" in d:
         s = d["scheme"]

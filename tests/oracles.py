@@ -25,7 +25,7 @@ from quograph.orbits import DEFAULT_VERTEX_CAP
 from quograph.partitions import LocalPartition, PairPartition
 from quograph.quotient import QuotientReport
 from quograph.schemes import AssociationScheme
-from quograph.spectral import DEFAULT_TOL, SpectralDecomposition, Spectrum
+from quograph.spectral import DEFAULT_TOL, Spectrum
 
 
 def all_ones(n: int) -> IntMatrix:
@@ -232,13 +232,22 @@ class MultiplicityVector:
     values: tuple[float, ...]
 
 
-def crossed_multiplicities(sd: SpectralDecomposition, u: int, v: int) -> MultiplicityVector:
+@dataclass(frozen=True)
+class GivenIdempotents:
+    """A spectrum with its idempotents given outright, as the reference and
+    the hand-built cases make them; `spectrum_partition` and the oracles
+    read a decomposition only through these two fields."""
+    spectrum: Spectrum
+    idempotents: np.ndarray | tuple[np.ndarray, ...]
+
+
+def crossed_multiplicities(sd, u: int, v: int) -> MultiplicityVector:
     """m(u,v): the (u,v)-entries of the idempotents E_0..E_d."""
     return MultiplicityVector(tuple(float(e[u, v]) for e in sd.idempotents))
 
 
 def spectral_decomposition_reference(alg: WalkAlgebra,
-                                     tol: float = DEFAULT_TOL) -> SpectralDecomposition:
+                                     tol: float = DEFAULT_TOL) -> GivenIdempotents:
     """The float layer as first written: A from `adjacency_matrix()`, one
     `np.mean` per eigenvalue group and `block @ block.T`, the idempotents a
     tuple of arrays in descending eigenvalue order."""
@@ -256,13 +265,13 @@ def spectral_decomposition_reference(alg: WalkAlgebra,
                              f"eigenvalues, exact count is {alg.d + 1}")
     groups.reverse()  # descending order
     blocks = [vecs[:, idx] for idx in groups]
-    return SpectralDecomposition(
+    return GivenIdempotents(
         Spectrum(tuple(float(np.mean(vals[idx])) for idx in groups),
                  tuple(map(len, groups))),
         tuple(block @ block.T for block in blocks))
 
 
-def spectrum_partition_reference(g: Graph, sd: SpectralDecomposition,
+def spectrum_partition_reference(g: Graph, sd,
                                  tol: float = DEFAULT_TOL):
     """Partition of V x V by m(u,v) vectors under component-wise tolerance.
 

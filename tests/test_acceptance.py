@@ -11,7 +11,7 @@ from quograph import (WalkAlgebra, analyze, automorphisms,
                       decide_quotient_polynomial, distances,
                       local_partition, orbit_partition, parse_edge_list,
                       parse_graph_spec, petersen_graph,
-                      spectral_decomposition)
+                      spectral_decomposition, spectrum_partition)
 
 from oracles import (adjacency_power_ladder_reference, b_via_trace, eval_poly,
                      graph_scalar_product, is_distance_faithful,
@@ -100,11 +100,15 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
     for g, rpt in zip(small_corpus, reports):
         rep = rpt.quotient
         assert rep.r >= rep.d, "r >= d violated"
-        # analyze() already checked that the m-vector grouping reproduces
-        # the exact walk partition (spectrum_partition raises ToleranceError
-        # otherwise); check distance-faithfulness
-        dd = distances(g)
+        # the m-vector grouping reproduces the exact walk partition
+        # (spectrum_partition raises ToleranceError otherwise): analyze()
+        # runs this witness only under debug_checks, so check it here
         pp = rep.partition
+        alg = WalkAlgebra.of(g)
+        sd = spectral_decomposition(alg)
+        spectrum_partition(sd, pp)
+        # distance-faithfulness
+        dd = distances(g)
         for u in range(g.n):
             assert is_distance_faithful(local_partition(pp, u), dd)
         if not rep.is_quotient_polynomial:
@@ -117,8 +121,6 @@ def test_acceptance_5_property_suite(small_corpus, corpus_reports):
         assert total == rep.hoffman                         # sum p_i = H
         ha = eval_poly(rep.hoffman, g.adjacency_matrix())
         assert ha == [[Fraction(1)] * g.n for _ in range(g.n)]  # H(A) = J
-        alg = WalkAlgebra.of(g)
-        sd = spectral_decomposition(alg)
         for i in range(rep.r + 1):
             for j in range(i + 1, rep.r + 1):
                 val = graph_scalar_product(g, sd.spectrum,

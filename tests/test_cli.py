@@ -240,10 +240,17 @@ def test_tolerance_error_exit_code(capsys, monkeypatch):
     code, out, err = run(capsys, "analyze", "circulant:17:1,4", "--tol", "10")
     assert code == 3 and out == ""
     assert "numeric disagreement: numeric grouping found 1" in err
-    # P4's eigenvalues stay apart, but its m-vectors are ambiguous at 0.5
-    code, out, err = run(capsys, "analyze", "graph6:Ch", "--tol", "0.5")
+    # P4's eigenvalues stay apart, but its m-vectors are ambiguous at 0.5,
+    # which only the --debug-checks witness reads
+    code, out, err = run(capsys, "analyze", "graph6:Ch", "--tol", "0.5",
+                         "--debug-checks")
     assert code == 3 and out == ""
     assert "numeric disagreement: pair" in err and "tol=0.5" in err
+    # without it, --tol sets only the eigenvalue gap, which 0.5 leaves apart
+    code, out, err = run(capsys, "analyze", "graph6:Ch", "--tol", "0.5",
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert out == run(capsys, "analyze", "graph6:Ch", "--format", "json")[1]
 
 
 def test_debug_checks_flag(capsys):

@@ -174,7 +174,8 @@ def test_local_dimensions_must_have_n_entries(petersen):
     n; it used to return it."""
     d = report_to_dict(analyze(petersen))
     d["quotient"]["local_dimensions"].pop()
-    with pytest.raises(GraphInputError, match="9 local dimensions for 10"):
+    with pytest.raises(GraphInputError,
+                       match=r"quotient.local_dimensions is \[.*\], not 10 ints"):
         report_from_dict(d)
 
 
@@ -200,6 +201,58 @@ def test_counts_must_match_what_is_read(petersen, edit, message):
     edit(d)
     with pytest.raises(GraphInputError, match=message):
         report_from_dict(d)
+
+
+def assert_rejected(petersen, section, field, value, message):
+    """Petersen's report with one field replaced fails to read, with a
+    GraphInputError that names the field."""
+    d = report_to_dict(analyze(petersen))
+    d[section][field] = value
+    with pytest.raises(GraphInputError, match=rf"{section}\.{field} .*{message}"):
+        report_from_dict(d)
+
+
+@pytest.mark.parametrize("value,message", [
+    (["x", None, 7], r"is \['x', None, 7\], not 3 floats"),
+    ([3, 1.0, -2.0], "not 3 floats"),
+    ([3.0, 1.0], "not 3 floats"),
+    ("3.0", "not 3 floats"),
+])
+def test_spectrum_eigenvalues_must_be_d_plus_1_floats(petersen, value, message):
+    """report_from_dict rejects eigenvalues that are not quotient.d + 1
+    floats; it used to read ['x', None, 7]."""
+    assert_rejected(petersen, "spectrum", "eigenvalues", value, message)
+
+
+@pytest.mark.parametrize("value,message", [
+    ([1, 5], r"is \[1, 5\], not 3 ints"),
+    ([1, 5.0, 4], "not 3 ints"),
+    ([True, 5, 4], "not 3 ints"),
+    ([1, 9, 0], r"are \[1, 9, 0\], not positive with sum n = 10"),
+    ([1, 5, 5], "not positive with sum n = 10"),
+])
+def test_spectrum_multiplicities_must_count_the_vertices(petersen, value,
+                                                         message):
+    """report_from_dict rejects multiplicities that are not quotient.d + 1
+    positive ints summing to n; it used to read [1, 5]."""
+    assert_rejected(petersen, "spectrum", "multiplicities", value, message)
+
+
+@pytest.mark.parametrize("value", [[True], [True, True, True, True],
+                                   [1, 1, 1]])
+def test_h_punctual_flags_must_cover_the_diameter(petersen, value):
+    """report_from_dict rejects h-punctual flags that are not diameter + 1
+    bools; it used to read [true] for Petersen, of diameter 2."""
+    assert_rejected(petersen, "flags", "h_punctually_walk_regular", value,
+                    "not 3 bools")
+
+
+def test_quotient_polynomials_must_be_r_plus_1(petersen):
+    """report_from_dict rejects quotient polynomials that are not r + 1
+    lists; it used to read Petersen's report with one polynomial."""
+    d = report_to_dict(analyze(petersen))
+    assert_rejected(petersen, "quotient", "polynomials",
+                    d["quotient"]["polynomials"][:1], "not 3 lists")
 
 
 def test_empty_class_is_not_counted(petersen):

@@ -13,10 +13,10 @@ from quograph import (DEFAULT_TOL, AnalysisOptions, Polynomial, ToleranceError,
                       spectrum_partition)
 from quograph.formats import to_graph6
 from quograph.partitions import PairPartition
-from quograph.spectral import SpectralDecomposition, Spectrum
+from quograph.spectral import Spectrum
 
-from oracles import (adjacency_power_ladder_reference, b_via_trace,
-                     crossed_multiplicities, graph_scalar_product,
+from oracles import (GivenIdempotents, adjacency_power_ladder_reference,
+                     b_via_trace, crossed_multiplicities, graph_scalar_product,
                      setpartition, spectral_decomposition_reference,
                      spectrum_partition_reference)
 from worked_examples import CIRC17_BT, CIRC17_EIGS, Y6_SPECTRUM
@@ -108,6 +108,31 @@ def test_spectral_decomposition_matches_reference():
     assert report.eigenvalues == [0.0] and report.multiplicities == [1]
 
 
+@pytest.mark.parametrize("debug_checks", [False, True])
+def test_analyze_builds_idempotents_only_for_the_witness(petersen, monkeypatch,
+                                                         debug_checks):
+    """By default `analyze` reads only `eigh`'s values: it never calls
+    `spectrum_partition` and never builds the idempotents. Under
+    `debug_checks` the witness runs and reads them."""
+    import quograph.report as report
+    made, checked = [], []
+
+    def decomposition(alg, tol):
+        made.append(spectral_decomposition(alg, tol))
+        return made[-1]
+
+    def witness(sd, pp, tol):
+        checked.append(sd)
+        spectrum_partition(sd, pp, tol)
+
+    monkeypatch.setattr(report, "spectral_decomposition", decomposition)
+    monkeypatch.setattr(report, "spectrum_partition", witness)
+    analyze(petersen, AnalysisOptions(debug_checks=debug_checks))
+    assert len(made) == 1 and not made[0].vectors.flags.writeable
+    assert checked == (made if debug_checks else [])
+    assert ("idempotents" in vars(made[0])) == debug_checks
+
+
 def test_crossed_multiplicities_diagonal(circ17):
     sd = spectrum(circ17)
     mv = crossed_multiplicities(sd, 0, 0)
@@ -158,7 +183,7 @@ def test_spectrum_partition_nan_idempotent(petersen):
     sd = spectral_decomposition(alg)
     e = sd.idempotents.copy()
     e[1, 3, 7] = np.nan
-    bad = SpectralDecomposition(sd.spectrum, e)
+    bad = GivenIdempotents(sd.spectrum, e)
     with pytest.raises(ToleranceError, match=r"\(3, 7\)"):
         spectrum_partition(bad, alg.partition)
     with pytest.raises(ToleranceError):
@@ -174,7 +199,7 @@ def test_spectrum_partition_nan_idempotent(petersen):
     assert ids.count(ids[1 * g.n + 1]) == 1  # (1, 1) is alone in its class
     e = sd.idempotents.copy()
     e[0, 1, 1] = np.nan
-    lone = SpectralDecomposition(sd.spectrum, e)
+    lone = GivenIdempotents(sd.spectrum, e)
     assert (spectrum_partition_reference(g, lone)
             == setpartition(alg.partition))
     spectrum_partition(lone, alg.partition)
@@ -185,8 +210,8 @@ def test_spectrum_partition_pair_before_other_class_may_be_near_it():
     # the greedy grouping puts pair (0, 1) with (0, 0) before the class of
     # (1, 0) has a group, so (0, 1) lying within tol of (1, 0) is no clash
     pp = PairPartition.of(2, ((1,), (0,)), (((0, 0), (0, 1)), ((1, 0), (1, 1))))
-    sd = SpectralDecomposition(Spectrum((0.0,), (2,)),
-                               (np.array([[0.0, 1.0], [2.0, 2.0]]),))
+    sd = GivenIdempotents(Spectrum((0.0,), (2,)),
+                          (np.array([[0.0, 1.0], [2.0, 2.0]]),))
     spectrum_partition(sd, pp, tol=1.0)
     assert (spectrum_partition_reference(path_graph(2), sd, tol=1.0)
             == setpartition(pp))
