@@ -54,8 +54,8 @@ def test_default_path_runs_every_stage(spec, qp_stages):
     t = traced(spec)
     for stage in DEFAULT_STAGES + qp_stages:
         assert t.stage_s[stage] > 0, stage
-    assert t.stage_s["distances"] == 0
-    assert t.stage_s["spectrum_partition"] == 0
+    for stage in ["distances"] + DEBUG_STAGES:
+        assert t.stage_s[stage] == 0, stage
 
 
 def test_debug_checks_run_every_witness_stage():
