@@ -73,7 +73,7 @@ def _add_common(p: argparse.ArgumentParser, graph_arg: bool = True):
     p.add_argument("--debug-checks", action="store_true",
                    help="enable redundant witnesses (m-vectors grouped within "
                         "--tol as the walk classes, walk vectors extended "
-                        "to length 2d+1, int64 products J_i J_j against the "
+                        "to length 2d+1, exact float64 products J_i J_j against the "
                         "intersection numbers at every pair (they are "
                         "counted at vertex 0), p_i p_j = sum_k p^k_ij p_k "
                         "modulo the minimal polynomial, distance polynomials "

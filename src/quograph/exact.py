@@ -8,14 +8,17 @@ which reads every power A^l off the walk classes rather than keep it as an
 n x n matrix; no decision is a tolerance call. `subset_ranks` ranks a batch
 of small matrices, at once mod a fixed prime in numpy when the batch is
 large enough, and keeps a modular rank only where a rank bound proves it
-equal to the rank over Q.
+equal to the rank over Q. The word primes below 2^31 and the int64
+elimination and products modulo them serve the class solves of
+`WalkAlgebra.class_polynomials`, which checks each answer exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 import numpy as np
@@ -147,6 +150,88 @@ def subset_ranks(rows, subsets) -> list[int]:
             for rk, b, s in zip(ranks, bounds, subsets)]
 
 
+# --- arithmetic modulo word primes ---------------------------------------
+
+def _is_prime(x: int) -> bool:
+    """Miller-Rabin to the bases 2, 7 and 61, which decide primality for
+    every x below 4,759,123,141 (Jaeschke 1993)."""
+    if x < 2 or any(x % a == 0 for a in (2, 7, 61)):
+        return x in (2, 7, 61)
+    odd, twos = x - 1, 0
+    while odd % 2 == 0:
+        odd, twos = odd // 2, twos + 1
+    for a in (2, 7, 61):
+        y = pow(a, odd, x)
+        if y in (1, x - 1):
+            continue
+        for _ in range(twos - 1):
+            y = y * y % x
+            if y == x - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def _word_prime(i: int) -> int:
+    """The i-th prime below 2^31, counting down from _word_prime(0) =
+    2^31 - 1 = RANK_PRIME; each is found on first use, then kept."""
+    x = _word_prime(i - 1) - 2 if i else RANK_PRIME
+    while not _is_prime(x):
+        x -= 2
+    return x
+
+
+def _mat_mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), p < 2^31, and
+    fewer than 2^16 columns in a: b is split at bit 16, so every product is
+    below 2^47 and every sum of them below 2^63."""
+    return ((a @ (b >> 16) % p << 16) + a @ (b & 0xFFFF) % p) % p
+
+
+def _gauss_jordan(a: np.ndarray, p: int):
+    """(rows, det B, adj B = det B B^-1) mod p, adj read-only, B = a[rows]
+    the block of the pivot rows in ascending order, for an int64 array a of
+    full column rank mod p, with entries in [0, p), p < 2^31; None for a of
+    lower rank.
+
+    Column c takes as pivot the first row not yet a pivot with a nonzero
+    entry left, is scaled to 1 and cleared from every other row (every
+    product below 2^62). In pivot order, the pivot rows' block has the
+    product of the pivots as determinant and, beside a, the columns of the
+    row operations at each pivot row as inverse: one column is opened as its
+    row turns pivot, since until then no operation has added that row to
+    another. Step c reads only columns c to s+c: the earlier ones of a are
+    cleared, and the later ones carried are zero. Sorting the rows permutes
+    the inverse's columns and, by its parity, the determinant's sign."""
+    h, s = a.shape
+    a = np.hstack([a, np.zeros((h, s), dtype=np.int64)])
+    free = np.ones(h, dtype=np.int64)
+    rows, det = [], 1
+    for c in range(s):
+        pivots = (a[:, c] * free).nonzero()[0]
+        if not len(pivots):
+            return None
+        k = int(pivots[0])
+        rows.append(k)
+        free[k] = 0
+        a[k, s + c] = 1
+        pivot = int(a[k, c])
+        det = det * pivot % p
+        w = a[:, c:s + c + 1]
+        row = w[k] * pow(pivot, -1, p) % p
+        w -= w[:, :1] * row
+        w %= p
+        w[k] = row
+    order = np.array(rows)
+    if np.count_nonzero(np.triu(order[:, None] > order, 1)) % 2:
+        det = -det % p  # an odd number of pairs out of order
+    adj = a[rows, s:][:, np.argsort(order)] * det % p
+    adj.flags.writeable = False
+    return sorted(rows), det, adj
+
+
 class BerlekampMassey:
     """Massey's (1969) shortest recurrence C = [1, c_1, ..., c_L] mod p of the
     terms s so far, sum_i c_i s_(k-i) = 0 for k >= L = length; O(L) a term."""
@@ -184,7 +269,7 @@ class Polynomial:
 
     @staticmethod
     def of(seq) -> "Polynomial":
-        c = [Fraction(x) for x in seq]
+        c = [x if type(x) is Fraction else Fraction(x) for x in seq]
         while c and c[-1] == 0:
             c.pop()
         return Polynomial(tuple(c))
@@ -216,9 +301,26 @@ class Polynomial:
         return acc
 
 
+def integer_numerators(polys) -> tuple[int, list[list[int]]]:
+    """(den, nums): den the lcm of every coefficient's denominator, and
+    nums[i] the coefficients of den * polys[i], as ints."""
+    den = lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return den, [[c.numerator * (den // c.denominator) for c in p.coeffs]
+                 for p in polys]
+
+
+def polynomial_sum(polys) -> Polynomial:
+    """The sum of the polynomials, added in integers over their common
+    denominator (`integer_numerators`): one Fraction per coefficient."""
+    den, nums = integer_numerators(polys)
+    return Polynomial.of([Fraction(sum(c), den)
+                          for c in zip_longest(*nums, fillvalue=0)])
+
+
 def frac_str(q) -> str:
     """Serialize a rational as "num/den", den omitted when 1."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

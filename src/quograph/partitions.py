@@ -6,19 +6,24 @@ J_0..J_r, held as one class label per pair, drive every later decision.
 The powers are numpy arrays, int64 while no sum can overflow and Python
 ints past that; walk counts are compared exactly as Python ints, never
 through floats or hashes: residues only propose; the trace identity proves.
+So in the solves over the classes: modulo word primes, int64 eliminations
+propose a candidate by the CRT, and an exact check of M N = den T, or a
+rank mod p above d+1, decides.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from itertools import count
+from math import prod
 from operator import mul
 
 import numpy as np
 
 from .errors import ContractViolationError, GraphInputError
-from .exact import RANK_PRIME, BerlekampMassey, Polynomial, _ranks_mod_p
+from .exact import (BerlekampMassey, Polynomial, _gauss_jordan, _mat_mul_mod,
+                    _word_prime, integer_numerators)
 from .graphs import Graph, require_connected
 
 
@@ -317,8 +322,9 @@ class WalkAlgebra:
     of (u,v). No power is kept as an n x n matrix. p(A) = T holds exactly
     when T is constant on classes and M c = t, where c are the coefficients
     of p and t the class values of T. M has rank d+1; the traces p_k =
-    tr A^k, k <= 2d+2, prove mu. `basis_rows` (rows of M forming a block B),
-    `adj` = det B^-1 and `det` are lazy, read by `class_polynomials` alone.
+    tr A^k, k <= 2d+2, prove mu. The block B of d+1 rows of M that
+    `class_polynomials` inverts, and M, det B and adj B modulo each word
+    prime it reads, are built by the first solve and cached, read-only.
 
     The classes carry the metric too: dist(u,v) is the first l with
     A^l[u][v] > 0, inside the walk vector as D <= d on a connected graph,
@@ -341,17 +347,6 @@ class WalkAlgebra:
     @property
     def d(self) -> int:
         return self.minimal_polynomial.degree - 1
-
-    @cached_property
-    def _block(self):  # bordered over the classes in order of first pair
-        flat = self.partition.flat_index
-        first = np.full(self.partition.r + 1, flat.size)
-        np.minimum.at(first, flat, np.arange(flat.size))
-        return _border(self.m, np.argsort(first).tolist())
-
-    basis_rows = property(lambda self: self._block[0])  # the rows of B
-    adj = property(lambda self: self._block[1])  # det * B^-1
-    det = property(lambda self: self._block[2])
 
     @cached_property
     def diameter(self) -> int:
@@ -407,31 +402,144 @@ class WalkAlgebra:
         """The polynomials p_j with p_j(A) = columns[j][k] on every class k,
         or None when some column lies outside the column space of M.
 
-        Where r > d, a rank of [M | columns] mod p above d+1 proves one
-        outside (the rank over Q is no less). Else c = adj t, t the nonzeros
-        on the basis rows, and M c = det t on all r+1 rows."""
-        if self.partition.r > self.d:
-            mod = np.array([[*row, *(c[k] for c in columns)] for k, row
-                            in enumerate(self.m)], dtype=object) % RANK_PRIME
-            if _ranks_mod_p(mod.astype(np.int64)[None])[0] > self.d + 1:
+        [M | T] is solved modulo the word primes p < 2^31, by one int64
+        Gauss-Jordan elimination per prime of a block B of d+1 rows of M,
+        which the first prime fixes (`_basis`) and each prime caches
+        (`_modular`); a prime that divides det B is skipped.
+        - Where r > d, a rank of [M | T] mod p above d+1 proves a column
+          outside (`_outside_mod_p`): the rank over Q is no less.
+        - Else the residues of (det B, adj(B) t_B) are lifted by the CRT in
+          symmetric range to a candidate (den, N), and M N = den T, checked
+          exactly on all r+1 rows, decides (`_verified`).
+        - The lift ends, answering None, once its modulus exceeds twice the
+          Hadamard bound of [B | t_B], which bounds det B and adj(B) t_B: the
+          candidate is then (det B, adj(B) t_B) itself."""
+        t = _int_array(columns).reshape(len(columns), self.partition.r + 1).T
+        first, rows, others = self._basis
+        t_top = np.abs(t).max(axis=1, initial=0).tolist()
+        lift, mod, square = None, 1, None
+        for i in count(first):
+            p, m, inverse = self._modular(i)
+            if inverse is None:
+                continue  # p divides det B
+            det, adj = inverse
+            tp = _residues(t, p)
+            x = _mat_mul_mod(adj, tp[rows], p)  # adj(B) t_B mod p
+            if len(others) and _outside_mod_p(m[others], x, det, tp[others], p):
                 return None
-        polys = []
-        for col in columns:
-            t = [(i, col[k]) for i, k in enumerate(self.basis_rows) if col[k]]
-            c = [sum(row[i] * x for i, x in t) for row in self.adj]
-            if any(sum(x * y for x, y in zip(row, c)) != self.det * v
-                   for row, v in zip(self.m, col)):
+            res = np.concatenate(([det], x.ravel()))
+            if lift is None:
+                lift = res
+            else:
+                if mod * p >= 1 << 62:
+                    lift = lift.astype(object)
+                lift = lift + mod * ((res - lift % p) % p * pow(mod, -1, p) % p)
+            mod *= p
+            cand = np.where(2 * lift > mod, lift - mod, lift)
+            den, n = int(cand[0]), cand[1:].reshape(x.shape)
+            if self._verified(den, n, t, max(t_top, default=0), i):
+                cols = n.T.tolist()  # one Fraction per distinct numerator
+                frac = {c: Fraction(c, den) for c in set().union(*cols)}
+                return [Polynomial.of(list(map(frac.__getitem__, col)))
+                        for col in cols]
+            if square is None:  # Hadamard's bound of [B | t_B], squared,
+                # for every column at once
+                square = prod(sum(map(mul, self.m[k], self.m[k])) + t_top[k] ** 2
+                              for k in rows)
+            if mod * mod > 4 * square:
                 return None
-            polys.append(Polynomial.of([Fraction(x, self.det) for x in c]))
-        return polys
+
+    @cached_property
+    def _basis(self) -> tuple[int, list[int], list[int]]:
+        """(i, rows, others): p_i is the first word prime mod which M has
+        rank d+1, and `_gauss_jordan` mod p_i picks the rows of the block B;
+        det B is nonzero mod p_i, so B is nonsingular over Q. others are the
+        other rows of M."""
+        for i in count():
+            p, m, _ = self._modular(i, inverse=False)
+            if solved := _gauss_jordan(m, p):
+                self._blocks[i][2] = solved[1:]
+                return i, solved[0], sorted(set(range(len(m))) - set(solved[0]))
+
+    def _modular(self, i: int, inverse: bool = True):
+        """(p, M mod p, (det B, adj B) mod p, or None where p divides det B),
+        p the i-th word prime, with read-only int64 arrays, built on first
+        read and cached per prime; the inverse is built once a read needs
+        it."""
+        if i not in self._blocks:
+            p = _word_prime(i)
+            m = _residues(self._m_array, p)
+            m.flags.writeable = False
+            self._blocks[i] = [p, m, False]
+        block = self._blocks[i]
+        if inverse and block[2] is False:
+            p, m, _ = block
+            solved = _gauss_jordan(m[self._basis[1]], p)
+            block[2] = solved and solved[1:]
+        return tuple(block)
+
+    @cached_property
+    def _blocks(self) -> dict[int, list]:  # prime index -> `_modular`
+        return {}
+
+    @cached_property
+    def _m_array(self) -> np.ndarray:
+        return _int_array(self.m)
+
+    def _verified(self, den: int, n: np.ndarray, t: np.ndarray, t_top: int,
+                  i: int) -> bool:
+        """M n = den t exactly on all r+1 rows, t_top = max |t|.
+
+        beta = max|M| max|n| (d+1) + |den| t_top bounds |M n - den t|. Where
+        beta < 2^63 the check is one int64 product; elsewhere it runs modulo
+        the word primes after p_i, the next ones the lift reads, until their
+        product exceeds 2 beta, as the only multiple of that product within
+        beta of 0 is 0. A wrong candidate mostly fails at the first."""
+        n_top = int(np.abs(n).max(initial=0))
+        m_top = max(map(max, self.m))  # walk counts are never negative
+        beta = m_top * max(n_top, 1) * (self.d + 1) + abs(den) * t_top
+        if beta < 1 << 63:
+            return np.array_equal(self._m_array @ n.astype(np.int64),
+                                  den * t.astype(np.int64))
+        product = 1
+        for j in count(i + 1):
+            if product > 2 * beta:
+                return True
+            q, m, _ = self._modular(j, inverse=False)
+            if not np.array_equal(_mat_mul_mod(m, _residues(n, q), q),
+                                  den % q * _residues(t, q) % q):
+                return False
+            product *= q
 
     def satisfies(self, p: Polynomial, values) -> bool:
         """p(A) equals values[k] on every class k: M c = values, checked in
         integers on all r+1 rows."""
-        den = lcm(*(c.denominator for c in p.coeffs))
-        ints = [int(c * den) for c in p.coeffs]
+        den, (ints,) = integer_numerators([p])
         return all(sum(x * y for x, y in zip(row, ints)) == den * v
                    for row, v in zip(self.m, values))
+
+
+def _int_array(rows) -> np.ndarray:
+    """The integer rows as an array: int64 where every entry fits, else
+    Python ints."""
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array(rows, dtype=object)
+
+
+def _residues(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p as int64, for a of int64 or of Python ints."""
+    return (a % p).astype(np.int64)
+
+
+def _outside_mod_p(m: np.ndarray, x: np.ndarray, det: int, t: np.ndarray,
+                   p: int) -> bool:
+    """m x != det t mod p somewhere, for rows m of M outside the block B,
+    the same rows t of T and x = adj(B) t_B mod p. Then the rank of [M | T]
+    mod p exceeds d+1, as B is nonsingular mod p, and T lies outside the
+    column space of M over Q."""
+    return not np.array_equal(_mat_mul_mod(m, x, p), det * t % p)
 
 
 def global_partition(g: Graph) -> PairPartition:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolationError
-from .exact import Polynomial, identity, subset_ranks
+from .exact import Polynomial, identity, polynomial_sum, subset_ranks
 from .partitions import (PairPartition, WalkAlgebra, check_regular,
                          local_partition, same_partition, walk_step)
 
@@ -63,7 +63,7 @@ def decide_quotient_polynomial(alg: WalkAlgebra) -> QuotientReport:
     polys = alg.class_polynomials(identity(r + 1))
     if polys is None:
         raise ContractViolationError("some p_i(A) != J_i; recovery is broken")
-    hoffman = sum(polys, Polynomial.of([0]))
+    hoffman = polynomial_sum(polys)
     if not alg.satisfies(hoffman, [1] * (r + 1)):  # H(A) = J
         raise ContractViolationError("Hoffman polynomial does not satisfy H(A) = J")
 

@@ -106,7 +106,7 @@ def analyze(g: Graph, options: AnalysisOptions = AnalysisOptions()) -> Report:
         if options.debug_checks:
             if not scheme_via_solve(scheme):
                 raise ContractViolationError(
-                    "int64 products J_i J_j disagree with the counted "
+                    "the products J_i J_j disagree with the counted "
                     "intersection numbers")
             scheme_ring_check(alg, rep, scheme)  # raises on failure
             qp_implies_dp(alg, rep)  # raises on failure

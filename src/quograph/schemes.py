@@ -8,12 +8,11 @@ contract violation, not a soft warning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
 from .errors import AnalysisError, ContractViolationError, GraphInputError
-from .exact import Polynomial
+from .exact import Polynomial, integer_numerators, polynomial_sum
 from .partitions import PairPartition, WalkAlgebra, same_partition
 from .quotient import QuotientReport
 
@@ -77,11 +76,9 @@ def qp_implies_dp(alg: WalkAlgebra, rep: QuotientReport) -> list[Polynomial]:
     dist = rep.partition.class_distances
     out = []
     for i in range(alg.diameter + 1):
-        p = Polynomial.of([0])
-        for j, dj in enumerate(dist):
-            # tr(A_i J_j) != 0 iff class j sits at distance i
-            if dj == i:
-                p = p + rep.polynomials[j]
+        # tr(A_i J_j) != 0 iff class j sits at distance i
+        p = polynomial_sum([q for q, dj in zip(rep.polynomials, dist)
+                            if dj == i])
         if not alg.satisfies(p, [int(dj == i) for dj in dist]):
             raise ContractViolationError(
                 f"summed quotient polynomials fail p_{i}(A) = A_{i}")
@@ -201,14 +198,16 @@ def scheme_via_solve(scheme: AssociationScheme) -> bool:
     reads p^k_ij at one pair per class, on vertex 0; checked at every pair,
     this is the witness that the counts are the same on all pairs of each
     class. The class matrices are built from the flat class index, one
-    comparison per class, and the products are dense int64 matrix products
-    (entries are at most n), an algorithm independent of the pair count in
-    `build_scheme`.
+    comparison per class, and the products are dense float64 BLAS matrix
+    products, an algorithm independent of the pair count in `build_scheme`.
+    They are exact: every entry and every partial sum of (J_i J_j)[u][v]
+    counts some of the w with c(u,w) = i and c(w,v) = j, an integer at most
+    n < 2^53, whatever the order of the sums.
     """
     n = scheme.n
     cls = scheme.flat_index.reshape(n, n)
     mats = np.array([cls == k for k in range(scheme.num_classes + 1)],
-                    dtype=np.int64)
+                    dtype=np.float64)
     p = np.array(scheme.intersection_numbers, dtype=np.int64)
     for i in range(len(mats)):
         want = np.moveaxis(p[:, i, :][cls], 2, 0)  # want[j] = p^{c(u,v)}_ij
@@ -229,9 +228,8 @@ def scheme_ring_check(alg: WalkAlgebra, rep: QuotientReport,
     """
     mu = alg.integral_minimal_polynomial
     deg = len(mu) - 1
-    den = lcm(*(c.denominator for q in rep.polynomials for c in q.coeffs))
-    polys = [[int(c * den) for c in q.coeffs] + [0] * (deg - len(q.coeffs))
-             for q in rep.polynomials]
+    den, polys = integer_numerators(rep.polynomials)
+    polys = [q + [0] * (deg - len(q)) for q in polys]
     p = scheme.intersection_numbers
     for i, pi in enumerate(polys):
         for j in range(i, len(polys)):

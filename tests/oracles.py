@@ -18,7 +18,7 @@ from quograph import (AnalysisError, ContractViolationError, Graph,
                       GraphInputError, OrbitPartition, Polynomial,
                       SizeLimitError, ToleranceError, WalkAlgebra,
                       check_regular, distances, local_partition, rank)
-from quograph import exact
+from quograph import exact, partitions
 from quograph.exact import IntMatrix, RatMatrix, identity
 from quograph.graphs import DistanceData
 from quograph.orbits import DEFAULT_VERTEX_CAP
@@ -141,6 +141,24 @@ def rank_mod_p(m, p: int) -> int:
     return rk
 
 
+def det_mod_p(m, p: int) -> int:
+    """The determinant mod p of a square integer matrix, in [0, p), by
+    elimination with row swaps and inverses pow(x, p - 2, p)."""
+    rows, det = [[x % p for x in row] for row in m], 1
+    for c in range(len(rows)):
+        piv = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv], det = rows[piv], rows[c], -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], p - 2, p)
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] * inv % p
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[c])]
+    return det % p
+
+
 def adjacency_power_ladder_reference(g: Graph) -> list[list[list[int]]]:
     """[I, A, ..., A^d] where d+1 is the adjacency algebra dimension.
 
@@ -169,19 +187,37 @@ def class_powers(alg: WalkAlgebra) -> list[list[list[int]]]:
 
 def walk_algebra_digest(alg: WalkAlgebra) -> str:
     """One sha256 over a walk algebra: the partition's n, class_ids and walk
-    vectors, `basis_rows`, `adj` and `det` (read through their properties,
-    so the first read borders B^-1) and the minimal polynomial's
-    coefficients, plus `flat_index`'s dtype, shape, read-only flag and
-    bytes. Equal digests mean equal partitions, minimal polynomials and
-    bordered inverses, with the same cached array behind `flat_index`; the
-    traces, which prove mu, are compared by the tests that need them."""
+    vectors and the minimal polynomial's coefficients, plus `flat_index`'s
+    dtype, shape, read-only flag and bytes. Equal digests mean equal
+    partitions and minimal polynomials, with the same cached array behind
+    `flat_index`; the traces, which prove mu, are compared by the tests
+    that need them."""
     pp, flat = alg.partition, alg.partition.flat_index
-    fields = (pp.n, pp.class_ids, pp.class_walk_vectors, alg.basis_rows,
-              alg.adj, alg.det, alg.minimal_polynomial.coeffs,
+    fields = (pp.n, pp.class_ids, pp.class_walk_vectors,
+              alg.minimal_polynomial.coeffs,
               flat.dtype.str, flat.shape, flat.flags.writeable)
     digest = hashlib.sha256(repr(fields).encode())
     digest.update(flat.tobytes())
     return digest.hexdigest()
+
+
+def bordered_class_polynomials(alg: WalkAlgebra, columns):
+    """`WalkAlgebra.class_polynomials` by the bordered inverse, in Python
+    ints: B is bordered over the classes in order of first pair by
+    `partitions._border`, which gives adj = det B^-1; each column's c = adj
+    t_B is a solution exactly when M c = det t on all r+1 rows. No prime."""
+    flat = alg.partition.flat_index
+    first = np.full(alg.partition.r + 1, flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    basis, adj, det, _ = partitions._border(alg.m, np.argsort(first).tolist())
+    polys = []
+    for col in columns:
+        c = [sum(row[i] * col[k] for i, k in enumerate(basis)) for row in adj]
+        if any(sum(x * y for x, y in zip(row, c)) != det * v
+               for row, v in zip(alg.m, col)):
+            return None
+        polys.append(Polynomial.of([Fraction(x, det) for x in c]))
+    return polys
 
 
 def combine_powers(coeffs, powers) -> RatMatrix:

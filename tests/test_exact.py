@@ -13,8 +13,8 @@ from quograph.exact import (BATCH_WORK, RANK_PRIME, BerlekampMassey,
                             poly_to_text, subset_ranks)
 from quograph.graphs import complete_graph
 
-from oracles import (RowBasis, all_ones, combine_powers, eval_poly, mat_mul,
-                     rank_mod_p, solve, transpose)
+from oracles import (RowBasis, all_ones, combine_powers, det_mod_p,
+                     eval_poly, mat_mul, rank_mod_p, solve, transpose)
 from worked_examples import CIRC17_BT, CIRC17_W, CIRC17_W_PLUS
 
 
@@ -229,6 +229,81 @@ def test_ranks_mod_p_column_without_pivot():
                       [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
                       [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], dtype=np.int64)
     assert _ranks_mod_p(batch).tolist() == [2, 2, 0, 3]
+
+
+def test_word_primes_descend_from_2_31_without_a_gap():
+    """_is_prime agrees with a sieve below 10^5 and rejects 3215031751, a
+    strong pseudoprime to the bases 2, 3, 5 and 7; the first 40 word primes
+    descend from 2^31 - 1, each prime and none skipped, by trial division."""
+    sieve = np.ones(10 ** 5, dtype=bool)
+    sieve[:2] = False
+    for q in range(2, 317):
+        sieve[q * q::q] = False
+    assert [x for x in range(10 ** 5) if exact._is_prime(x)] == (
+        np.flatnonzero(sieve).tolist())
+    assert not exact._is_prime(3215031751)
+    small = np.flatnonzero(sieve)[:4800].tolist()  # past sqrt(2^31) = 46341
+    primes = [exact._word_prime(i) for i in range(40)]
+    assert primes[0] == RANK_PRIME and primes == sorted(primes, reverse=True)
+    for x in range(primes[-1], RANK_PRIME + 1):
+        assert (x in primes) == all(x % q for q in small), x
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=1, max_value=7),
+       st.integers(min_value=1, max_value=5), st.data())
+def test_gauss_jordan_mod_p(h, w, data):
+    """None exactly when the rank mod p is below w; else w rows, ascending,
+    whose block B has rank w, det B mod p and adj B = det B B^-1 mod p,
+    read-only. Entries are drawn mod 2^31 - 1 and mod 5, where pivots are
+    often out of row order."""
+    p = data.draw(st.sampled_from([RANK_PRIME, 5]))
+    entry = st.one_of(st.just(0), st.integers(min_value=0, max_value=p - 1))
+    a = [[data.draw(entry) for _ in range(w)] for _ in range(h)]
+    got = exact._gauss_jordan(np.array(a, dtype=np.int64), p)
+    if rank_mod_p(a, p) < w:
+        assert got is None
+        return
+    rows, det, adj = got
+    block = [a[k] for k in rows]
+    assert rows == sorted(rows) and len(rows) == w and not adj.flags.writeable
+    assert rank_mod_p(block, p) == w and det == det_mod_p(block, p)
+    assert [[x % p for x in row] for row in mat_mul(adj.tolist(), block)] == (
+        [[det * x for x in row] for row in identity(w)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=6), st.data())
+def test_mat_mul_mod_matches_python_ints(h, k, w, data):
+    entry = st.one_of(st.sampled_from([0, 1, RANK_PRIME - 1]),
+                      st.integers(min_value=0, max_value=RANK_PRIME - 1))
+    a = [[data.draw(entry) for _ in range(k)] for _ in range(h)]
+    b = [[data.draw(entry) for _ in range(w)] for _ in range(k)]
+    got = exact._mat_mul_mod(np.array(a, dtype=np.int64),
+                             np.array(b, dtype=np.int64).reshape(k, w),
+                             RANK_PRIME)
+    assert got.dtype == np.int64 and got.tolist() == [
+        [sum(x * y for x, y in zip(row, col)) % RANK_PRIME
+         for col in zip(*b)] for row in a]
+
+
+def test_polynomial_keeps_fractions_and_integer_numerators():
+    """Polynomial.of keeps a Fraction as given and frac_str reads it as it
+    is; integer_numerators scales every coefficient to the common
+    denominator, and polynomial_sum adds over it as Polynomial.__add__
+    does, trailing zeros trimmed."""
+    half, third = Fraction(1, 2), Fraction(-2, 3)
+    p = Polynomial.of([half, 3, third, 0])
+    q = Polynomial.of([Fraction(1, 4)])
+    assert p.coeffs[0] is half and p.coeffs[2] is third and p.degree == 2
+    assert (frac_str(third), frac_str(3), frac_str("4/6")) == ("-2/3", "3", "2/3")
+    assert exact.integer_numerators([p, q]) == (12, [[6, 36, -8], [3]])
+    assert exact.integer_numerators([]) == (1, [])
+    minus = Polynomial.of([0, -3, -third])
+    assert exact.polynomial_sum([p, q, minus]) == p + q + minus == (
+        Polynomial.of([Fraction(3, 4)]))
+    assert exact.polynomial_sum([]) == Polynomial.of([0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,7 @@
 """The class-level ladder against the dense ladder it replaced, read off the
-walk classes entry by entry, and what the pass keeps: the traces, the
-minimal polynomial they prove, and the lazily bordered inverse of the basis
-block."""
+walk classes entry by entry, and what the pass keeps: the traces and the
+minimal polynomial they prove; and the basis block's inverses modulo word
+primes, built lazily by the first solve."""
 import random
 import sys
 from pathlib import Path
@@ -90,14 +90,18 @@ def test_random_ladders_match_reference(g):
 
 
 def test_bordered_inverse_and_minimal_polynomial(small_corpus):
-    """adj B = det I on the basis block, and mu(A) = 0 exactly on the ladder
-    plus one more power, with mu monic of degree d+1."""
+    """`_border`, the ladder's fallback past A^n, borders a block B of d+1
+    rows of M with adj B = det I and no dependent column, and mu(A) = 0
+    exactly on the ladder plus one more power, with mu monic of degree
+    d+1."""
     for g in small_corpus:
         alg = WalkAlgebra.of(g)
-        block = [alg.m[k] for k in alg.basis_rows]
-        eye = [[alg.det * (i == j) for j in range(alg.d + 1)]
+        rows, adj, det, y = partitions._border(alg.m, range(len(alg.m)))
+        assert len(rows) == alg.d + 1 and det and y is None
+        block = [alg.m[k] for k in rows]
+        eye = [[det * (i == j) for j in range(alg.d + 1)]
                for i in range(alg.d + 1)]
-        assert mat_mul([list(row) for row in alg.adj], block) == eye
+        assert mat_mul([list(row) for row in adj], block) == eye
         mu = alg.minimal_polynomial
         assert mu.degree == alg.d + 1 and mu.coeffs[-1] == 1
         powers = class_powers(alg)
@@ -390,14 +394,26 @@ def test_unlucky_primes_give_the_same_algebra(small_corpus):
 
 
 def test_inverse_is_lazy_and_read_only():
-    """The ladder borders no inverse; the first read of `basis_rows`, `adj`
-    or `det` builds all three once, and none can be assigned."""
+    """The ladder reduces nothing mod a word prime. The first solve picks
+    the block B and inverts it mod the primes it reads, one elimination
+    each; a second solve on the same algebra eliminates nothing. Each
+    prime's M mod p and adj B mod p are read-only, adj B B = det B I mod p
+    with det B nonzero mod p, and neither cached field can be assigned."""
     alg = adjacency_power_ladder(petersen_graph())
-    assert "_block" not in vars(alg)
-    with mock.patch.object(partitions, "_border",
-                           wraps=partitions._border) as border:
-        assert alg.det and len(alg.adj) == len(alg.basis_rows) == alg.d + 1
-    assert border.call_count == 1 and "_block" in vars(alg)
-    for name in ("basis_rows", "adj", "det"):
+    assert not {"_basis", "_blocks"} & set(vars(alg))
+    with mock.patch.object(partitions, "_gauss_jordan",
+                           wraps=partitions._gauss_jordan) as gj:
+        polys = alg.class_polynomials([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        first = gj.call_count
+        assert alg.class_polynomials([[1, 1, 1]]) == [sum(
+            polys, Polynomial.of([0]))]
+    assert first == len(alg._blocks) == 1 and gj.call_count == first
+    (i, (p, m, (det, adj))), = alg._blocks.items()
+    assert i == alg._basis[0] == 0 and p == partitions._word_prime(0)
+    assert not m.flags.writeable and not adj.flags.writeable
+    block = np.array([alg.m[k] for k in alg._basis[1]], dtype=object)
+    assert ((adj.astype(object) @ block - det * np.eye(3, dtype=object))
+            % p == 0).all() and det % p
+    for name in ("_basis", "_blocks"):
         with pytest.raises(AttributeError):
             setattr(alg, name, None)

@@ -20,6 +20,7 @@ from quograph.schemes import (AssociationScheme, generates_scheme_check,
 from oracles import (adjacency_power_ladder_reference, class_matrix,
                      distance_class_matrix, generates_scheme_check_reference,
                      scheme_classes)
+from test_spectral import workload_graphs
 from worked_examples import Y6_DIST_POLYS
 
 
@@ -279,6 +280,27 @@ def test_build_scheme_p4_partition_fails_solve():
         [[0, 1, 2, 2], [1, 0, 1, 2], [2, 1, 0, 1], [2, 2, 1, 0]]))
     assert s.intersection_numbers[2][1][1] == 1  # read at (0,2)
     assert not scheme_via_solve(s)
+
+
+def test_scheme_via_solve_on_workload_schemes():
+    """The float64 products accept the scheme of every QP `witness` and
+    `large` input, and reject it once one p^k_ij is off by one."""
+    graphs = workload_graphs("witness") + workload_graphs("large")
+    checked = 0
+    for g in graphs:
+        rep = decide_quotient_polynomial(WalkAlgebra.of(g))
+        if not rep.is_quotient_polynomial:
+            continue
+        s = build_scheme(rep, rep.partition)
+        assert scheme_via_solve(s), g
+        p = [[list(row) for row in pk] for pk in s.intersection_numbers]
+        k = s.num_classes
+        i = j = min(k, 1)
+        p[k][i][j] += 1
+        assert not scheme_via_solve(dataclasses.replace(
+            s, intersection_numbers=tuple(tuple(map(tuple, pk)) for pk in p)))
+        checked += 1
+    assert checked >= 20
 
 
 def test_scheme_via_solve_rejects_wrong_scheme(petersen):
