@@ -1,7 +1,9 @@
 """Walk vectors, the walk-regular partition of V x V, and the walk algebra.
 
 Pairs (u,v) are grouped by their exact vector of walk counts
-(a_uv^(0), ..., a_uv^(d)), refined one power at a time; the classes
+(a_uv^(0), ..., a_uv^(d)), refined one power at a time: past a few hundred
+pairs a class keeps its label at its first pair, and only the pairs whose
+new entry differs from the entry there are regrouped. The classes
 J_0..J_r, held as one class label per pair, drive every later decision.
 The powers are numpy arrays, int64 while no sum can overflow and Python
 ints past that; walk counts are compared exactly as Python ints, never
@@ -51,15 +53,17 @@ def _neighbor_sum(g: Graph, power: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows[g.neighbor_table], axis=0)
 
 
-# Past this many pairs u <= v an int64 power refines its classes by one
-# sort; up to it, and for object powers, by hashing (class, value) pairs
-# in a dict, as sorting Python ints loses to hashing them. Timed per power
-# on the refinements of real ladders (2-core VM, Python 3.11, numpy 2.4):
-# at 36 pairs the dict took 9 us and the sort 28 us; on cycles the sort
-# lost at 136 pairs and won from 210 (cycle:24, 300 pairs: 62 against
-# 40 us); on random G(n, p), with more classes, the two stayed level up to
-# about 500 pairs, and the sort won past that (820 pairs: 250 against
-# 218 us).
+# Past this many pairs u <= v the ladder carries each class's first pair
+# and regroups only the pairs that leave it (`_refine`); up to it a dict
+# over all pairs relabels every pair. Timed as whole ladders with every
+# graph in one form or the other (2-core VM, Python 3.11, numpy 2.4, best
+# of 45): the dict won at 36 pairs (cycle:8 131 against 177 us, G(8, p)
+# 270 against 340 us) and at 78 (cycle:12 217 against 250 us); at 136 the
+# two were level on cycle:16 and the new form won by 6-9% on G(16, p); it
+# won from there on (cycle:18, 171 pairs: 374 against 410 us; cycle:24,
+# 300 pairs: 526 against 736 us; G(24, 0.3) 4.2 against 7.7 ms). Corpus
+# graphs have at most 136 pairs and `large` inputs at least 300, so every
+# value from 136 to 299 gives both the same work.
 SORT_REFINE_PAIRS = 200
 # 2^61 - 1 and the 14 primes below it, for Berlekamp-Massey and the CRT
 # lift: their product, about 2^914, proves mu while 2 (1 + k_max)^(d+1) is
@@ -68,37 +72,56 @@ TRACE_PRIMES = tuple(2**61 - c for c in (1, 31, 45, 229, 259, 283, 339, 391,
                                           403, 465, 531, 579, 675, 759, 799))
 
 
-def _refine(ids, vals: np.ndarray):
+def _refine(ids, vals: np.ndarray, first=None):
     """The classes ids split by the entries vals of a new power, keyed by
-    (class, value) as in 1-WL colour refinement and labelled in order of
-    first appearance: the new labels and the (class, value) of each new
-    class in label order.
+    (class, value) as in 1-WL colour refinement: the new labels, the
+    (class, value) of each new class in label order, and their first pairs.
 
-    An int64 power past SORT_REFINE_PAIRS pairs takes one stable lexsort
-    by (class, value): a group starts where either key changes, its first
-    position is the sorted position that starts it, and the groups are
-    relabelled by first position, which gives the labels the dict gives."""
-    if vals.dtype == object or len(vals) <= SORT_REFINE_PAIRS:
-        if isinstance(ids, np.ndarray):  # sorted, before int64 overflowed
-            ids = ids.tolist()
+    Up to SORT_REFINE_PAIRS pairs (first None) a dict over all pairs
+    relabels them in order of first appearance. Past it, first[k] is the
+    lowest position of class k, and each class keeps its label at its first
+    pair: only the pairs whose value differs from the value there, dev, are
+    grouped (`_group`), under labels appended after the old ones, and their
+    first pairs are appended to first. A power that splits no class, as
+    A^(d+1) never does, returns ids and first as given, unsorted; the
+    values compare as int64 or as Python ints, exactly either way."""
+    if first is None:
         keys: dict[tuple, int] = {}
         new = [keys.setdefault(key, len(keys))
                for key in zip(ids, vals.tolist())]
-        return new, list(keys)
-    ids = np.asarray(ids)
+        return new, list(keys), None
+    head = vals[first]
+    dev = np.flatnonzero(vals != head[ids])
+    heads = list(enumerate(head.tolist()))
+    if not len(dev):
+        return ids, heads, first
+    labels, lead, split = _group(ids[dev], vals[dev])
+    new = ids.copy()
+    new[dev] = len(first) + labels
+    return new, heads + split, np.concatenate((first, dev[lead]))
+
+
+def _group(ids: np.ndarray, vals: np.ndarray):
+    """(labels, lead, keys): the pairs grouped by (class, value), labelled
+    0, 1, ...; lead[j] is the position of group j's first pair and keys[j]
+    its (class, value). Int64 values take one stable lexsort, a group
+    starting where either key changes; Python ints are hashed in a dict,
+    labelled in order of first appearance, as sorting them loses to hashing
+    them."""
+    if vals.dtype == object:
+        keys: dict[tuple, int] = {}
+        labels = np.array([keys.setdefault(key, len(keys))
+                           for key in zip(ids.tolist(), vals.tolist())])
+        return labels, np.unique(labels, return_index=True)[1], list(keys)
     srt = np.lexsort((vals, ids))
     cls, val = ids[srt], vals[srt]
     start = np.empty(len(srt), dtype=bool)
     start[0] = True
     start[1:] = (cls[1:] != cls[:-1]) | (val[1:] != val[:-1])
-    lead = srt[start]  # the first position of each group, in sorted order
-    order = np.argsort(lead, kind="stable")
-    label = np.empty_like(order)
-    label[order] = np.arange(len(order))
-    new = np.empty_like(srt)
-    new[srt] = label[np.cumsum(start) - 1]
-    first = lead[order]
-    return new, list(zip(ids[first].tolist(), vals[first].tolist()))
+    labels = np.empty_like(srt)
+    labels[srt] = np.cumsum(start) - 1
+    return labels, srt[start], list(zip(cls[start].tolist(),
+                                        val[start].tolist()))
 
 
 def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
@@ -109,7 +132,9 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     One pass per power, holding it and the one before: A^(l+1) is
     `_neighbor_sum` of A^l, cast to Python ints where `walk_step` would, by
     the carried bound max |A^(l+1)| <= k_max max |A^l|; the pairs u <= v
-    (A^l is symmetric) are refined by (class, new entry) in `_refine`; and,
+    (A^l is symmetric) are refined by (class, new entry) in `_refine`,
+    which past SORT_REFINE_PAIRS pairs carries each class's first pair from
+    power to power and regroups only the pairs that leave it; and,
     as <A^i, A^j>_F = tr A^(i+j) = p_(i+j), the traces gain p_(2l-1) =
     <A^(l-1), A^l>_F and p_(2l) = ||A^l||_F^2. Berlekamp-Massey mod a prime
     reads them; once its length L has 2L < #traces, `_proved_polynomial`
@@ -126,11 +151,14 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     n, k_max = g.n, max(map(len, g.neighbors))
     upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
     cur, top = np.eye(n, dtype=np.int64), 1  # max |A^l| <= top
-    ids = [0] * len(upper)    # every power so far is constant on each class
+    # every power so far is constant on each class; past SORT_REFINE_PAIRS
+    # pairs, first[k] is the lowest position of class k
+    first = np.zeros(1, np.int64) if len(upper) > SORT_REFINE_PAIRS else None
+    ids = [0] * len(upper) if first is None else np.zeros(len(upper), np.int64)
     vectors = [()]            # class -> its entries in the powers so far
     traces, mu, bm = [n], None, BerlekampMassey(TRACE_PRIMES[0], [n])
     while True:
-        new, heads = _refine(ids, cur.ravel()[upper])
+        new, heads, new_first = _refine(ids, cur.ravel()[upper], first)
         if vectors[0]:  # l >= 1; int64 dots beat class sums on the corpus,
             # and class sums beat object dots past int64 (CHANGES.md, timed)
             if cur.dtype != object and n * n * top * top < 1 << 63:
@@ -146,7 +174,8 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
                     bm, mu = _proved_polynomial(traces, bm, k_max)
             if mu or len(vectors[0]) > n:
                 break
-        ids, vectors = new, [vectors[k] + (x,) for k, x in heads]
+        ids, first = new, new_first
+        vectors = [vectors[k] + (x,) for k, x in heads]
         if cur.dtype != object and top * k_max >= 1 << 63:
             top = int(cur.max())  # walk counts are never negative
             if top * k_max >= 1 << 63:

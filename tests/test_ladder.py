@@ -158,9 +158,10 @@ def large_graphs():
 
 
 def assert_refinements_agree(graphs):
-    """The ladder gives one algebra, field for field, whether every int64
-    power is refined by the sort (crossover 0) or every power by the dict
-    (crossover above every pair count)."""
+    """The ladder gives one algebra, field for field, whether every graph
+    regroups only the pairs that leave their class's first pair (crossover
+    0) or every graph hashes all pairs in one dict per power (crossover
+    above every pair count)."""
     algebras = [adjacency_power_ladder(g) for g in graphs]
     digests = list(map(walk_algebra_digest, algebras))
     for pairs in (0, max(g.n for g in graphs) ** 2):
@@ -174,10 +175,137 @@ def assert_refinements_agree(graphs):
 def test_refinement_forms_agree(small_corpus):
     """Both refinement forms on the 1196 corpus graphs and the 4 large
     inputs; `circulant:72:1,4` turns from int64 to object powers midway, so
-    the dict there takes over labels the sort made."""
+    there the deviating pairs are grouped by the sort, then by the dict,
+    under the same carried first pairs."""
     graphs = small_corpus + large_graphs()
     assert len(graphs) == 1200
     assert_refinements_agree(graphs)
+
+
+def refine(ids, vals, first, dtype=np.int64):
+    return partitions._refine(np.array(ids, dtype=np.int64),
+                              np.array(vals, dtype=dtype),
+                              np.array(first, dtype=np.int64))
+
+
+def test_refine_without_a_split_returns_its_inputs():
+    """No pair leaves its class's first pair: ids and first come back as
+    given, unsorted, with each class's (class, value) in label order."""
+    ids, first = np.array([1, 0, 1, 0, 2]), np.array([1, 0, 4])
+    vals = np.array([7, 5, 7, 5, 7])
+    with mock.patch.object(np, "lexsort", wraps=np.lexsort) as sort:
+        new, heads, lead = partitions._refine(ids, vals, first)
+    assert new is ids and lead is first and not sort.called
+    assert heads == [(0, 5), (1, 7), (2, 7)]
+
+
+def test_refine_split_keeps_old_labels_at_first_pairs():
+    """Each split class keeps its label at its first pair; the deviating
+    pairs form new classes, labelled after the old ones, whose first pairs
+    are appended."""
+    new, heads, first = refine([0, 0, 1, 0, 1, 1, 0], [3, 4, 9, 3, 8, 9, 4],
+                               [0, 2])
+    assert new.tolist() == [0, 2, 1, 0, 3, 1, 2]
+    assert heads == [(0, 3), (1, 9), (0, 4), (1, 8)]
+    assert first.tolist() == [0, 2, 1, 4]
+
+
+def test_refine_class_whose_first_pair_is_not_position_0():
+    """Class 0 starts at position 2, after class 1; its first pair, not
+    position 0, sets the value that keeps label 0."""
+    new, heads, first = refine([1, 1, 0, 0, 0], [6, 6, 5, 7, 5], [2, 0])
+    assert new.tolist() == [1, 1, 0, 2, 0]
+    assert heads == [(0, 5), (1, 6), (0, 7)]
+    assert first.tolist() == [2, 0, 3]
+
+
+def test_refine_object_entries_past_2_63():
+    """Python-int entries compare exactly: 2^70 and 2^70 + 1 split class 0,
+    and the dict labels the deviating groups in order of first
+    appearance."""
+    big = 2**70
+    new, heads, first = refine([0, 0, 1, 0, 1, 0], [big, big + 2, -big, big + 1,
+                                                    -big - 1, big + 2],
+                               [0, 2], dtype=object)
+    assert new.tolist() == [0, 2, 1, 3, 4, 2]
+    assert heads == [(0, big), (1, -big), (0, big + 2), (0, big + 1),
+                     (1, -big - 1)]
+    assert all(type(x) is int for _, x in heads)
+    assert first.tolist() == [0, 2, 1, 3, 4]
+
+
+@st.composite
+def refinements(draw):
+    """(ids, vals, first): up to 80 pairs in classes labelled in any order,
+    first[k] the lowest position of class k, with values few enough to
+    repeat, as int64 or as Python ints past 2^64."""
+    size = draw(st.integers(1, 80))
+    raw = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    seen = sorted(set(raw))
+    perm = draw(st.permutations(range(len(seen))))
+    ids = np.array([perm[seen.index(x)] for x in raw], dtype=np.int64)
+    first = np.full(len(seen), size)
+    np.minimum.at(first, ids, np.arange(size))
+    vals = draw(st.lists(st.integers(-2, 2), min_size=size, max_size=size))
+    if draw(st.booleans()):
+        return ids, np.array([x * 2**64 + 1 for x in vals], dtype=object), first
+    return ids, np.array(vals, dtype=np.int64), first
+
+
+@settings(max_examples=300, deadline=None)
+@given(refinements())
+def test_refine_matches_a_dict_over_all_pairs(case):
+    """The new form gives the partition the dict over all pairs gives, each
+    class its (parent, value), every old label still at its first pair, and
+    first[k] the lowest position of class k."""
+    ids, vals, first = case
+    new, heads, lead = partitions._refine(ids, vals, first)
+    want, keys, _ = partitions._refine(ids.tolist(), vals, None)
+    new = np.asarray(new)
+    assert partitions.same_partition(new, len(heads), np.array(want), len(keys))
+    assert [heads[k] for k in new] == list(zip(ids.tolist(), vals.tolist()))
+    assert (new[first] == np.arange(len(first))).all()
+    lowest = np.full(len(heads), len(new))
+    np.minimum.at(lowest, new, np.arange(len(new)))
+    assert lead.tolist() == lowest.tolist()
+
+
+def deviating(ids, vals):
+    """How many pairs differ from the first pair of their class, counted in
+    Python position by position."""
+    head, count = {}, 0
+    for k, x in zip(ids.tolist(), vals.tolist()):
+        count += head.setdefault(k, x) != x
+    return count
+
+
+def test_sort_runs_once_per_int64_power_that_splits():
+    """On the four `large` inputs, `np.lexsort` runs once for each int64
+    power that splits a class, on exactly its deviating pairs, and not at
+    all on a power that splits none, A^(d+1) among them; object powers are
+    grouped by the dict, unsorted."""
+    unsplit = 0
+    for g in large_graphs():
+        calls, kernel = [], partitions._refine
+
+        def spy(ids, vals, first):
+            assert first is not None  # every large input has > 200 pairs
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as sort:
+                out = kernel(ids, vals, first)
+            sizes = [len(c.args[0][0]) for c in sort.call_args_list]
+            calls.append((vals.dtype, len(out[1]) > len(first),
+                          deviating(ids, vals), sizes))
+            return out
+
+        with mock.patch.object(partitions, "_refine", spy):
+            alg = adjacency_power_ladder(g)
+        assert len(calls) == alg.d + 2, g  # I, A, ..., A^(d+1)
+        for dtype, split, dev, sizes in calls:
+            assert split == (dev > 0)
+            assert sizes == ([dev] if split and dtype != object else [])
+            unsplit += dtype != object and not split
+        assert not calls[-1][1] and not calls[-1][3]  # A^(d+1)
+    assert unsplit == 46  # of the 90 int64 powers
 
 
 def kernel_dtypes(run):
