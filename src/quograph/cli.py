@@ -174,8 +174,10 @@ def cmd_census(args) -> int:
             ])
             print(f"{rec['graph6']}: n={rec['n']} d={rec['d']} r={rec['r']} "
                   f"D={rec['D']} [{flags}]")
+        for v in summary["contract_violations"]:
+            print("violation: line {line} ({graph6}): {error}".format(**v))
         print(f"summary: {json.dumps(summary)}")
-    return 0
+    return 2 if summary["contract_violations"] else 0
 
 
 def main(argv=None) -> int:
@@ -218,7 +220,3 @@ def main(argv=None) -> int:
     except (GraphInputError, QuographError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

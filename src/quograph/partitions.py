@@ -1,10 +1,10 @@
 """Walk vectors, the walk-regular partition of V x V, and the walk algebra.
 
 Pairs (u,v) are grouped by their exact vector of walk counts
-(a_uv^(0), ..., a_uv^(d)), refined one power at a time: past a few hundred
-pairs a class keeps its label at its first pair, and only the pairs whose
-new entry differs from the entry there are regrouped. The classes
-J_0..J_r, held as one class label per pair, drive every later decision.
+(a_uv^(0), ..., a_uv^(d)): up to a few hundred pairs once mu is proved;
+past that one power at a time, regrouping only the pairs whose new entry
+differs from their class's first pair. The classes J_0..J_r, held as one
+class label per pair, drive every later decision.
 The powers are numpy arrays, int64 while no sum can overflow and Python
 ints past that; walk counts are compared exactly as Python ints, never
 through floats or hashes: residues only propose; the trace identity proves.
@@ -53,17 +53,15 @@ def _neighbor_sum(g: Graph, power: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows[g.neighbor_table], axis=0)
 
 
-# Past this many pairs u <= v the ladder carries each class's first pair
-# and regroups only the pairs that leave it (`_refine`); up to it a dict
-# over all pairs relabels every pair. Timed as whole ladders with every
-# graph in one form or the other (2-core VM, Python 3.11, numpy 2.4, best
-# of 45): the dict won at 36 pairs (cycle:8 131 against 177 us, G(8, p)
-# 270 against 340 us) and at 78 (cycle:12 217 against 250 us); at 136 the
-# two were level on cycle:16 and the new form won by 6-9% on G(16, p); it
-# won from there on (cycle:18, 171 pairs: 374 against 410 us; cycle:24,
-# 300 pairs: 526 against 736 us; G(24, 0.3) 4.2 against 7.7 ms). Corpus
-# graphs have at most 136 pairs and `large` inputs at least 300, so every
-# value from 136 to 299 gives both the same work.
+# Up to this many pairs u <= v the ladder keeps each power's entries on the
+# pairs and groups them once, at the exit; past it, it carries each class's
+# first pair (`_refine`). Timed as whole ladders in each form (2-core VM,
+# Python 3.11, numpy 2.4, best of 45, grouped against carried): cycle:8
+# (36 pairs) 155 against 286 us, cycle:16 (136) 239 against 401 us,
+# G(16, 0.4) 0.95 against 1.45 ms, cycle:20 (210) 309 against 538 us and
+# G(24, 0.3) (300) 3.3 against 4.4 ms; but circulant:72:1,4, whose object
+# powers it dots, 32 against 5.5 ms, and Q7 4.3 against 3.4 ms (best of 9).
+# Corpus graphs have at most 136 pairs and `large` inputs, carried, 300.
 SORT_REFINE_PAIRS = 200
 # 2^61 - 1 and the 14 primes below it, for Berlekamp-Massey and the CRT
 # lift: their product, about 2^914, proves mu while 2 (1 + k_max)^(d+1) is
@@ -72,24 +70,17 @@ TRACE_PRIMES = tuple(2**61 - c for c in (1, 31, 45, 229, 259, 283, 339, 391,
                                           403, 465, 531, 579, 675, 759, 799))
 
 
-def _refine(ids, vals: np.ndarray, first=None):
+def _refine(ids: np.ndarray, vals: np.ndarray, first: np.ndarray):
     """The classes ids split by the entries vals of a new power, keyed by
     (class, value) as in 1-WL colour refinement: the new labels, the
     (class, value) of each new class in label order, and their first pairs.
 
-    Up to SORT_REFINE_PAIRS pairs (first None) a dict over all pairs
-    relabels them in order of first appearance. Past it, first[k] is the
-    lowest position of class k, and each class keeps its label at its first
-    pair: only the pairs whose value differs from the value there, dev, are
-    grouped (`_group`), under labels appended after the old ones, and their
-    first pairs are appended to first. A power that splits no class, as
-    A^(d+1) never does, returns ids and first as given, unsorted; the
-    values compare as int64 or as Python ints, exactly either way."""
-    if first is None:
-        keys: dict[tuple, int] = {}
-        new = [keys.setdefault(key, len(keys))
-               for key in zip(ids, vals.tolist())]
-        return new, list(keys), None
+    first[k] is the lowest position of class k, and each class keeps its
+    label at its first pair: only the pairs whose value differs from the
+    value there, dev, are grouped (`_group`), under labels appended after
+    the old ones, and their first pairs are appended to first. A power that
+    splits no class, as A^(d+1) never does, returns ids and first as given,
+    unsorted; the values compare as int64 or as Python ints, exactly."""
     head = vals[first]
     dev = np.flatnonzero(vals != head[ids])
     heads = list(enumerate(head.tolist()))
@@ -126,16 +117,16 @@ def _group(ids: np.ndarray, vals: np.ndarray):
 
 def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     """The walk algebra of g, read off I, A, ..., A^d, where d+1 is the
-    adjacency algebra dimension. No power is kept. g may be disconnected;
-    `WalkAlgebra.of` checks connectivity first.
+    adjacency algebra dimension. No n x n power is kept. g may be
+    disconnected; `WalkAlgebra.of` checks connectivity first.
 
     One pass per power, holding it and the one before: A^(l+1) is
     `_neighbor_sum` of A^l, cast to Python ints where `walk_step` would, by
-    the carried bound max |A^(l+1)| <= k_max max |A^l|; the pairs u <= v
-    (A^l is symmetric) are refined by (class, new entry) in `_refine`,
-    which past SORT_REFINE_PAIRS pairs carries each class's first pair from
-    power to power and regroups only the pairs that leave it; and,
-    as <A^i, A^j>_F = tr A^(i+j) = p_(i+j), the traces gain p_(2l-1) =
+    the carried bound max |A^(l+1)| <= k_max max |A^l|. Up to
+    SORT_REFINE_PAIRS pairs u <= v (A^l is symmetric), each power's entries
+    on them are kept; past it they are refined by (class, new entry) in
+    `_refine`, which regroups only the pairs that leave their class's first
+    pair. As <A^i, A^j>_F = tr A^(i+j) = p_(i+j), the traces gain p_(2l-1) =
     <A^(l-1), A^l>_F and p_(2l) = ||A^l||_F^2. Berlekamp-Massey mod a prime
     reads them; once its length L has 2L < #traces, `_proved_polynomial`
     lifts its candidate q, and a proved q is mu, so d = L - 1: (1) mu(A) = 0
@@ -144,25 +135,32 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
     divides the monic q of degree L, and q = mu. Residues only propose; the
     trace identity proves. The Hankel matrices of (p_k) to order d+1 are
     positive definite, so the proof comes at A^(d+1); past A^n, `_border`
-    finds mu exactly. The classes, copied to (v, u), are relabelled once in
-    the report order: diagonal classes (a^(0) = 1) by ascending walk vector,
-    the rest by descending walk vector, which orders them by distance too.
+    finds mu exactly. Kept entries are grouped by walk vector, to A^d or,
+    for `_border`, to A^n. The classes, copied to (v, u), are relabelled
+    once in the report order: diagonal classes (a^(0) = 1) by ascending walk
+    vector, the rest by descending walk vector, which orders them by distance.
     """
     n, k_max = g.n, max(map(len, g.neighbors))
     upper = np.flatnonzero(np.tri(n, dtype=bool).T)  # pairs u <= v, row-major
     cur, top = np.eye(n, dtype=np.int64), 1  # max |A^l| <= top
-    # every power so far is constant on each class; past SORT_REFINE_PAIRS
-    # pairs, first[k] is the lowest position of class k
-    first = np.zeros(1, np.int64) if len(upper) > SORT_REFINE_PAIRS else None
-    ids = [0] * len(upper) if first is None else np.zeros(len(upper), np.int64)
+    # small: each power's entries on the pairs are kept; else every power
+    # so far is constant on each class, first[k] its lowest position
+    small, columns = len(upper) <= SORT_REFINE_PAIRS, []
+    first, ids = np.zeros(1, np.int64), np.zeros(len(upper), np.int64)
     vectors = [()]            # class -> its entries in the powers so far
     traces, mu, bm = [n], None, BerlekampMassey(TRACE_PRIMES[0], [n])
-    while True:
-        new, heads, new_first = _refine(ids, cur.ravel()[upper], first)
-        if vectors[0]:  # l >= 1; int64 dots beat class sums on the corpus,
-            # and class sums beat object dots past int64 (CHANGES.md, timed)
+    for l in count():
+        if small:
+            columns.append(cur.ravel()[upper].tolist())
+        else:
+            new, heads, new_first = _refine(ids, cur.ravel()[upper], first)
+        if l:  # int64 dots beat class sums on the corpus, and class sums
+            # beat object dots past int64 (CHANGES.md, timed)
             if cur.dtype != object and n * n * top * top < 1 << 63:
                 traces += [int(np.vdot(prev, cur)), int(np.vdot(cur, cur))]
+            elif small:  # exact dots in Python ints
+                a, b = prev.ravel().tolist(), cur.ravel().tolist()
+                traces += [sum(map(mul, a, b)), sum(map(mul, b, b))]
             else:  # weights A^l on the classes, u < v for (u,v) and (v,u)
                 w = [(s if vectors[k][0] else 2 * s) * x
                      for (k, x), s in zip(heads, np.bincount(new).tolist())]
@@ -172,16 +170,21 @@ def adjacency_power_ladder(g: Graph) -> WalkAlgebra:
                 bm.extend(traces[-2:])
                 if 2 * bm.length < len(traces):
                     bm, mu = _proved_polynomial(traces, bm, k_max)
-            if mu or len(vectors[0]) > n:
+            if mu or l > n:
                 break
-        ids, first = new, new_first
-        vectors = [vectors[k] + (x,) for k, x in heads]
+        if not small:
+            ids, first = new, new_first
+            vectors = [vectors[k] + (x,) for k, x in heads]
         if cur.dtype != object and top * k_max >= 1 << 63:
             top = int(cur.max())  # walk counts are never negative
             if top * k_max >= 1 << 63:
                 cur = cur.astype(object)  # as walk_step would cast it
         prev, cur = cur, _neighbor_sum(g, cur)
         top *= k_max  # each entry sums at most k_max entries of A^l
+    if small:  # the pairs grouped by walk vector, to A^d or, unproved, A^n
+        keys, vecs = {}, zip(*columns[:len(mu) - 1 if mu else l])
+        ids = [keys.setdefault(vec, len(keys)) for vec in vecs]
+        vectors = list(keys)
     if not mu:  # A^(d+1) = sum_j (y_j / det) A^j on every class
         *_, det, y = _border(vectors, range(len(vectors)))
         mu = [Fraction(-c, det) if c % det else -c // det for c in y] + [1]

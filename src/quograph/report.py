@@ -493,15 +493,14 @@ def report_from_dict(d: dict) -> Report:
 # --- census ----------------------------------------------------------------
 
 def census(lines, options: AnalysisOptions = AnalysisOptions()):
-    """Analyze a stream of graph6 lines; yields one record per parsed line.
-
-    Disconnected graphs are counted and skipped; malformed lines and failed
-    analyses are logged and counted, and processing continues. A
-    ContractViolationError names its line and ends the run. The trailing
-    record carries the summary.
+    """Analyze a stream of graph6 lines into (records, summary), one record
+    per analysed line. Disconnected graphs are counted and skipped; malformed
+    lines and failed analyses are logged and counted, and processing goes
+    on. So it does past a ContractViolationError, logged too and listed in
+    the summary's `contract_violations` by line, graph6 and message.
     """
     from .formats import parse_graph6
-    records = []
+    records, violations = [], []
     skipped_disconnected = 0
     parse_errors = analysis_errors = 0
     flag_counts: dict[str, int] = {}
@@ -521,8 +520,10 @@ def census(lines, options: AnalysisOptions = AnalysisOptions()):
             log.error("line %d (%s): %s", lineno, line.strip(), e)
             continue
         except ContractViolationError as e:
-            raise ContractViolationError(
-                f"line {lineno} ({line.strip()}): {e}") from e
+            log.critical("line %d (%s): %s", lineno, line.strip(), e)
+            violations.append({"line": lineno, "graph6": line.strip(),
+                               "error": str(e)})
+            continue
         if report.error is not None:
             skipped_disconnected += 1
             continue
@@ -551,5 +552,6 @@ def census(lines, options: AnalysisOptions = AnalysisOptions()):
         "parse_errors": parse_errors,
         "analysis_errors": analysis_errors,
         "flag_counts": flag_counts,
+        "contract_violations": violations,
     }
     return records, summary

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import quograph
-from quograph import analyze, parse_graph_spec, report_to_dict
+from quograph import analyze, parse_graph_spec, report, report_to_dict
 from quograph.cli import main
 from quograph.errors import ContractViolationError
 
@@ -148,6 +148,7 @@ def test_census_stdin(capsys, monkeypatch, tmp_path):
     d = loads_as_dumped(out)
     assert d["summary"]["parse_errors"] == 1
     assert d["summary"]["graphs"] == 2
+    assert d["summary"]["contract_violations"] == []
     assert d["records"][0]["graph6"] == "A_"
 
 
@@ -174,15 +175,43 @@ def test_census_survives_analysis_error(capsys, monkeypatch, caplog):
     assert "line 2 (EhEG)" in caplog.text
 
 
-def test_census_contract_violation_names_line(capsys, monkeypatch, tmp_path):
+def test_census_contract_violation_names_line(capsys, monkeypatch, tmp_path,
+                                              caplog):
+    """A contract violation on line 1 (A_, two vertices) is logged with its
+    line, listed in the summary and printed in the text format; line 2 (Bw)
+    is still analysed, and the exit code is 2 once everything is printed."""
+    decide = report.decide_quotient_polynomial
+
     def broken(alg):
-        raise ContractViolationError("boom")
+        if alg.g.n == 2:
+            raise ContractViolationError("boom")
+        return decide(alg)
     monkeypatch.setattr("quograph.report.decide_quotient_polynomial", broken)
     p = tmp_path / "batch.g6"
     p.write_text("A_\nBw\n")
-    code, _, err = run(capsys, "census", str(p))
+    code, out, _ = run(capsys, "census", str(p))
     assert code == 2
-    assert "line 1 (A_): boom" in err
+    assert "line 1 (A_): boom" in caplog.text
+    assert out.splitlines()[:2] == ["Bw: n=3 d=1 r=1 D=1 [WQPR]",
+                                    "violation: line 1 (A_): boom"]
+    code, out, _ = run(capsys, "census", str(p), "--format", "json")
+    d = loads_as_dumped(out)
+    assert code == 2 and [rec["line"] for rec in d["records"]] == [2]
+    assert d["summary"]["graphs"] == 1
+    assert d["summary"]["contract_violations"] == [
+        {"line": 1, "graph6": "A_", "error": "boom"}]
+
+
+def test_python_m_quograph_runs_the_cli():
+    """`python -m quograph` is the `quograph` command."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(quograph.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quograph", "analyze", "name:petersen",
+         "--format", "json"], capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    d = json.loads(proc.stdout)
+    assert d["graph"]["n"] == 10
 
 
 def test_closed_pipe_exits_quietly():
@@ -190,7 +219,7 @@ def test_closed_pipe_exits_quietly():
     env = dict(os.environ,
                PYTHONPATH=str(Path(quograph.__file__).resolve().parents[1]))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "quograph.cli", "analyze", "name:cycle:30",
+        [sys.executable, "-m", "quograph", "analyze", "name:cycle:30",
          "--format", "json"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"{\n"  # the report is far larger than a pipe

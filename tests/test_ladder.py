@@ -159,9 +159,10 @@ def large_graphs():
 
 def assert_refinements_agree(graphs):
     """The ladder gives one algebra, field for field, whether every graph
-    regroups only the pairs that leave their class's first pair (crossover
-    0) or every graph hashes all pairs in one dict per power (crossover
-    above every pair count)."""
+    regroups, at each power, only the pairs that leave their class's first
+    pair (crossover 0) or every graph keeps its powers' entries on the
+    pairs and groups them once by walk vector at the exit (crossover above
+    every pair count)."""
     algebras = [adjacency_power_ladder(g) for g in graphs]
     digests = list(map(walk_algebra_digest, algebras))
     for pairs in (0, max(g.n for g in graphs) ** 2):
@@ -173,10 +174,11 @@ def assert_refinements_agree(graphs):
 
 
 def test_refinement_forms_agree(small_corpus):
-    """Both refinement forms on the 1196 corpus graphs and the 4 large
-    inputs; `circulant:72:1,4` turns from int64 to object powers midway, so
-    there the deviating pairs are grouped by the sort, then by the dict,
-    under the same carried first pairs."""
+    """Both forms, carried and grouped once, on the 1196 corpus graphs and
+    the 4 large inputs; `circulant:72:1,4` turns from int64 to object powers
+    midway, so in the carried form its deviating pairs are grouped by the
+    sort, then by the dict, under the same carried first pairs, and in the
+    grouped form its traces are Python-int dots past int64."""
     graphs = small_corpus + large_graphs()
     assert len(graphs) == 1200
     assert_refinements_agree(graphs)
@@ -252,15 +254,23 @@ def refinements(draw):
     return ids, np.array(vals, dtype=np.int64), first
 
 
+def dict_refine(ids, vals):
+    """(labels, keys): every pair relabelled by a dict keyed by (class,
+    value), in order of first appearance, keys[j] the key of label j."""
+    keys: dict[tuple, int] = {}
+    labels = [keys.setdefault(key, len(keys)) for key in zip(ids, vals)]
+    return labels, list(keys)
+
+
 @settings(max_examples=300, deadline=None)
 @given(refinements())
 def test_refine_matches_a_dict_over_all_pairs(case):
-    """The new form gives the partition the dict over all pairs gives, each
+    """`_refine` gives the partition a dict over all pairs gives, each
     class its (parent, value), every old label still at its first pair, and
     first[k] the lowest position of class k."""
     ids, vals, first = case
     new, heads, lead = partitions._refine(ids, vals, first)
-    want, keys, _ = partitions._refine(ids.tolist(), vals, None)
+    want, keys = dict_refine(ids.tolist(), vals.tolist())
     new = np.asarray(new)
     assert partitions.same_partition(new, len(heads), np.array(want), len(keys))
     assert [heads[k] for k in new] == list(zip(ids.tolist(), vals.tolist()))
@@ -545,3 +555,34 @@ def test_inverse_is_lazy_and_read_only():
     for name in ("_basis", "_blocks"):
         with pytest.raises(AttributeError):
             setattr(alg, name, None)
+
+
+def test_grouped_form_trace_regimes(small_corpus):
+    """Up to SORT_REFINE_PAIRS pairs the ladder never refines a class: it
+    groups the pairs once, at the exit, and dots whole powers for the
+    traces. One graph per regime of those dots: Petersen's are all int64
+    `vdot`s; a corpus G(16, p) with d = 15 dots in Python ints from where
+    n^2 top^2 reaches 2^63, its powers still int64; a dense G(19, 0.9)
+    turns to object powers. Each gives the algebra of the carried form
+    (crossover 0), digest included, and the reference powers."""
+    g16 = next(g for g in small_corpus
+               if g.n == 16 and adjacency_power_ladder(g).d == 15)
+    rng = random.Random(26)
+    dense = build_graph(19, [(u, v) for u in range(19) for v in range(u + 1, 19)
+                             if rng.random() < 0.9])
+    graphs = [petersen_graph(), g16, dense]
+    regimes = []
+    for g in graphs:
+        assert g.n * (g.n + 1) // 2 <= partitions.SORT_REFINE_PAIRS
+        with mock.patch.object(partitions, "_refine") as refine, \
+                mock.patch.object(np, "vdot", wraps=np.vdot) as vdot:
+            dtypes, alg = kernel_dtypes(lambda: adjacency_power_ladder(g))
+        refine.assert_not_called()
+        regimes.append((vdot.call_count == 2 * (alg.d + 1), object in dtypes))
+        with mock.patch.object(partitions, "SORT_REFINE_PAIRS", 0):
+            carried = adjacency_power_ladder(g)
+        assert carried == alg
+        assert walk_algebra_digest(carried) == walk_algebra_digest(alg)
+        assert ladder_off_classes(g) == adjacency_power_ladder_reference(g)
+        assert list(alg.traces) == dense_traces(g, 2 * alg.d + 3)
+    assert regimes == [(True, False), (False, False), (False, True)]
